@@ -24,11 +24,14 @@ simulation results.
 The machine rows (``machine_uniform_radix{8,16}``,
 ``machine_saturated_radix{8,16}``) time whole ``Machine.run`` calls —
 processors, controllers, and fabric together — with the event-calendar
-engine on vs the retained per-cycle loop, asserting bit-exact summary
-parity.  The light-traffic uniform rows are the engine's headline
-(>= 5x at radix-8 under ``REPRO_BENCH_STRICT=1``); the saturated rows
-are reported for honesty — a fabric busy every cycle leaves nothing to
-skip.
+engine on vs the retained per-cycle loop (both pinned with ``engine=``),
+asserting bit-exact summary parity.  The light-traffic uniform rows are
+the engine's headline (>= 5x at radix-8 under ``REPRO_BENCH_STRICT=1``);
+the saturated rows are reported for honesty — a fabric busy every cycle
+leaves nothing to skip.  The ``machine_core`` row times the default
+``Machine.run`` — the compiled C core for these fresh cut-through
+machines — against the pinned event calendar on the Section 3.3
+validation machine (>= 3x under ``REPRO_BENCH_STRICT=1``).
 
 The headline row is ``tree_saturation``: every message targets a few
 hot ejection ports, so blocked-channel trees grow across the fabric and
@@ -46,6 +49,7 @@ suite; parity assertions always run.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import random
@@ -307,13 +311,73 @@ def measure_machine_run(name, radix, quick=False):
     }
 
 
+def measure_machine_core(quick=False):
+    """Default ``Machine.run`` (compiled core) vs the pinned Python spec.
+
+    The Section 3.3 validation machine — 64-node radix-8 torus, a
+    random mapping — at p = 1, 2 and 4, timed as the sum over the three
+    context counts.  ``speedup_vs_reference`` is ``calendar_wall /
+    core_wall`` with ``engine=True`` (the event calendar) standing in
+    for the reference; ``parity`` asserts every summary is bit-identical.
+    Best-of-2 per side.  Where the core cannot load, both sides run the
+    calendar and the ratio reads about 1x; ``engine`` records which.
+    """
+    warmup, measure = (300, 1500) if quick else (500, 4000)
+    mapping = random_mapping(64, seed=SEED)
+    graph = torus_neighbor_graph(8, 2)
+    machines = []
+    for contexts in (1, 2, 4):
+        config = SimulationConfig(contexts=contexts, seed=SEED)
+        programs = build_programs(
+            graph, contexts, config.compute_cycles, config.compute_jitter
+        )
+        machines.append((config, programs))
+
+    def run(engine):
+        seconds = 0.0
+        summaries = []
+        paths = set()
+        for config, programs in machines:
+            machine = Machine(
+                config, mapping, copy.deepcopy(programs), engine=engine
+            )
+            began = time.perf_counter()
+            summaries.append(
+                machine.run(warmup=warmup, measure=measure).as_dict()
+            )
+            seconds += time.perf_counter() - began
+            paths.add(machine.engine_path)
+        return seconds, summaries, paths
+
+    core_seconds, core_summaries, paths = run(None)
+    spec_seconds, spec_summaries, _ = run(True)
+    core_seconds = min(core_seconds, run(None)[0])
+    spec_seconds = min(spec_seconds, run(True)[0])
+    return {
+        "bench": "machine_core",
+        "config": (
+            f"radix-8 2-D torus, random mapping, contexts=1,2,4, "
+            f"{warmup}+{measure} cycles, calendar vs default"
+        ),
+        "wall_s": round(core_seconds, 4),
+        "calendar_wall_s": round(spec_seconds, 4),
+        "speedup_vs_reference": round(spec_seconds / core_seconds, 2),
+        "parity": core_summaries == spec_summaries,
+        "engine": "/".join(sorted(paths)),
+        "messages": sum(s["messages_sent"] for s in core_summaries),
+    }
+
+
 def measure_machine_suite(quick=False):
-    """Engine on/off rows at radix-8 and radix-16, both operating points."""
-    return [
+    """Engine on/off rows at radix-8 and radix-16, both operating points,
+    plus the single-run compiled-core row."""
+    rows = [
         measure_machine_run(name, radix, quick=quick)
         for name in MACHINE_WORKLOADS
         for radix in (8, 16)
     ]
+    rows.append(measure_machine_core(quick=quick))
+    return rows
 
 
 def measure_replication_scaling(quick=False):
@@ -445,9 +509,10 @@ def test_machine_engine_speedup(bench_record):
     """End-to-end ``Machine.run``: event-calendar engine vs step loop.
 
     Always checks bit-exact summary parity on every row; the >= 5x
-    floor on the light-traffic radix-8 row only fires under
-    ``REPRO_BENCH_STRICT=1`` (shared runners are too noisy for
-    unconditional wall-clock asserts).
+    floor on the light-traffic radix-8 row and the >= 3x floor on the
+    ``machine_core`` row (default path on the compiled core vs the
+    pinned event calendar) only fire under ``REPRO_BENCH_STRICT=1``
+    (shared runners are too noisy for unconditional wall-clock asserts).
     """
     rows = measure_machine_suite(quick=not STRICT)
     for row in rows:
@@ -461,6 +526,9 @@ def test_machine_engine_speedup(bench_record):
             r for r in rows if r["bench"] == "machine_uniform_radix8"
         )
         assert headline["speedup_vs_reference"] >= 5.0, headline
+        core = next(r for r in rows if r["bench"] == "machine_core")
+        assert core["engine"] == "core", core
+        assert core["speedup_vs_reference"] >= 3.0, core
 
 
 def test_replication_jobs_invariance(bench_record):

@@ -885,17 +885,6 @@ class BatchFabric:
 # calls, and a per-rep fabric view for link-flit snapshots.
 
 
-def _core_flits_compatible() -> bool:
-    """The core hard-codes control/data flit sizes; verify they match."""
-    for kind, flits in _FLITS_BY_KIND.items():
-        expected = 24 if kind in (
-            MessageKind.DATA_REPLY, MessageKind.WRITEBACK
-        ) else 8
-        if flits != expected:
-            return False
-    return True
-
-
 class _CoreController:
     """Processor-facing view of one (replication, node) core controller."""
 
@@ -1004,6 +993,7 @@ class BatchMachine:
         programs: Sequence[Sequence[ThreadProgram]],
         seeds: Sequence[int],
         telemetry: Optional[TelemetryConfig] = None,
+        _adopt=None,
     ):
         seeds = tuple(int(seed) for seed in seeds)
         if not seeds:
@@ -1017,9 +1007,10 @@ class BatchMachine:
         self.seeds = seeds
         self.torus = Torus(radix=config.radix, dimensions=config.dimensions)
         nodes = self.torus.node_count
-        # Validate the mapping/programs combination once, with the same
-        # errors a solo Machine raises.
-        place_programs(config, mapping, programs, nodes)
+        if _adopt is None:
+            # Validate the mapping/programs combination once, with the
+            # same errors a solo Machine raises.
+            place_programs(config, mapping, programs, nodes)
         homes = [mapping.processor_of(t) for t in range(mapping.threads)]
         geometry = (
             FabricGeometry(self.torus)
@@ -1032,14 +1023,15 @@ class BatchMachine:
         self._ffi = None
         self._lib = None
         self._block_ids: Dict[Tuple[int, int], int] = {}
-        mode = batchcore.engine_mode()
+        batchcore.engine_mode()  # reject a malformed gate on every path
         if (
             geometry is not None
             and telemetry is None
-            and mode != "py"
-            and _core_flits_compatible()
+            and batchcore.shape_supported(
+                nodes, config.dimensions, config.radix
+            )
         ):
-            loaded = batchcore.load()
+            loaded, _ = batchcore.acquire()
             if loaded is not None:
                 ffi, lib = loaded
                 core = lib.bc_create(
@@ -1050,21 +1042,17 @@ class BatchMachine:
                     config.to_network(config.send_cycles),
                     config.to_network(config.memory_cycles),
                 )
-                if core != ffi.NULL:
-                    self._ffi = ffi
-                    self._lib = lib
-                    self._core = ffi.gc(core, lib.bc_destroy)
-                    self._link_buf = ffi.new(
-                        "long long[]", len(geometry.link_keys)
-                    )
-                    self._node_buf = ffi.new("long long[]", nodes)
-                    self._counter_buf = ffi.new("long long[12]")
-                    self._double_buf = ffi.new("double[1]")
-            if self._core is None and mode == "c":
-                raise SimulationError(
-                    "REPRO_BATCH_ENGINE=c but the compiled batch core is "
-                    f"unavailable: {batchcore.load_failure() or 'not built'}"
+                if core == ffi.NULL:
+                    raise MemoryError("cannot allocate the batch core")
+                self._ffi = ffi
+                self._lib = lib
+                self._core = ffi.gc(core, lib.bc_destroy)
+                self._link_buf = ffi.new(
+                    "long long[]", len(geometry.link_keys)
                 )
+                self._node_buf = ffi.new("long long[]", nodes)
+                self._counter_buf = ffi.new("long long[12]")
+                self._double_buf = ffi.new("double[1]")
         #: Selected engine for this batch: ``"c"`` (compiled core) or
         #: ``"py"`` (pure-Python reference path).
         self.engine = "c" if self._core is not None else "py"
@@ -1076,7 +1064,9 @@ class BatchMachine:
             rep.index = index
             rep.seed = seed
             rep.cycle = 0
-            rep.stats = MachineStats(nodes=nodes)
+            rep.stats = (
+                MachineStats(nodes=nodes) if _adopt is None else _adopt.stats
+            )
             rep.engine_ready = []
             rep.ctrl_wake = []
             rep.heap = []
@@ -1123,24 +1113,29 @@ class BatchMachine:
                     if telemetry is not None
                     else None
                 )
-            # Per-replication program copies (programs are stateful) and
-            # RNG streams, exactly as the serial replication path builds
-            # them from config.with_seed(seed).
-            _, programs_at = place_programs(
-                config, mapping, copy.deepcopy(programs), nodes
-            )
-            node_seeds = np.random.SeedSequence(seed).spawn(nodes)
-            rep.processors = [
-                Processor(
-                    node=node,
-                    config=config,
-                    controller=rep.controllers[node],
-                    programs=programs_at[node],
-                    stats=rep.stats,
-                    seed_seq=node_seeds[node],
+            if _adopt is None:
+                # Per-replication program copies (programs are stateful)
+                # and RNG streams, exactly as the serial replication path
+                # builds them from config.with_seed(seed).
+                _, programs_at = place_programs(
+                    config, mapping, copy.deepcopy(programs), nodes
                 )
-                for node in range(nodes)
-            ]
+                node_seeds = np.random.SeedSequence(seed).spawn(nodes)
+                rep.processors = [
+                    Processor(
+                        node=node,
+                        config=config,
+                        controller=rep.controllers[node],
+                        programs=programs_at[node],
+                        stats=rep.stats,
+                        seed_seq=node_seeds[node],
+                    )
+                    for node in range(nodes)
+                ]
+            else:
+                rep.processors = _adopt.processors
+                for processor in rep.processors:
+                    processor.controller = rep.controllers[processor.node]
             # Processor wake calendar (port of MachineEngine.__init__ at
             # cycle 0): every fresh processor is mid-run, so it lands on
             # the heap; the wake listener catches later idle wake-ups.
@@ -1154,6 +1149,29 @@ class BatchMachine:
                     rep.woken_flag[processor.node] = True
                     rep.woken.append(processor.node)
             self._reps.append(rep)
+
+    @classmethod
+    def adopt(cls, machine) -> "BatchMachine":
+        """A one-lane batch that takes over a fresh ``machine``.
+
+        The single-run fast path of :meth:`repro.sim.machine.Machine.run`.
+        The machine's processors (programs placed, RNG streams spawned,
+        first run lengths drawn — exactly what a batch lane builds) and
+        its ``MachineStats`` become lane 0, and the lane's controllers
+        and fabric view replace the machine's, so the machine reads the
+        state this batch leaves behind.
+        """
+        batch = cls(
+            machine.config,
+            machine.mapping,
+            (),
+            (machine.config.seed,),
+            _adopt=machine,
+        )
+        lane = batch._reps[0]
+        machine.controllers = lane.controllers
+        machine.fabric = lane.fabric
+        return batch
 
     # -- compiled-core plumbing ----------------------------------------
 

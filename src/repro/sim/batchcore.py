@@ -5,13 +5,14 @@ the first time it is needed (cached under the user cache directory,
 keyed by source hash) and loads it through :mod:`cffi` in ABI mode —
 no setuptools build step, no Python.h dependency.  Everything degrades
 gracefully: if a compiler or cffi is unavailable, ``load()`` returns
-``None`` and :mod:`repro.sim.batch` falls back to its pure-Python
-engine, which is the behavioral spec for this core.
+``None`` and callers fall back to Python — :mod:`repro.sim.batch` to its
+pure-Python engine, :meth:`repro.sim.machine.Machine.run` to the event
+calendar — loudly, through :func:`acquire`.
 
 The ``REPRO_BATCH_ENGINE`` environment variable gates selection:
 ``auto`` (default) uses the core when available and applicable, ``py``
-forces the pure-Python engine, and ``c`` requires the core (raising if
-it cannot be built).
+forces the Python engines, and ``c`` requires the core (raising if it
+cannot be built).
 """
 
 from __future__ import annotations
@@ -21,12 +22,24 @@ import os
 import shutil
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
+from repro import obs
 from repro.errors import ProtocolError, SimulationError
+from repro.sim.message import _FLITS_BY_KIND, MessageKind
 
-__all__ = ["engine_mode", "load", "raise_error", "CDEF"]
+__all__ = [
+    "CDEF",
+    "CoreFallbackWarning",
+    "acquire",
+    "engine_mode",
+    "flits_compatible",
+    "load",
+    "raise_error",
+    "shape_supported",
+]
 
 _SOURCE = Path(__file__).with_name("_batchcore.c")
 
@@ -63,6 +76,11 @@ long long ts_items(void *p, long long *out);
 
 _cached = None
 _failure: Optional[str] = None
+_warned = False
+
+
+class CoreFallbackWarning(RuntimeWarning):
+    """A run the compiled core could serve fell back to a Python engine."""
 
 
 def engine_mode() -> str:
@@ -153,6 +171,62 @@ def load():
 
 def load_failure() -> Optional[str]:
     return _failure
+
+
+def flits_compatible() -> bool:
+    """The core hard-codes control/data flit sizes; verify they match."""
+    for kind, flits in _FLITS_BY_KIND.items():
+        expected = 24 if kind in (
+            MessageKind.DATA_REPLY, MessageKind.WRITEBACK
+        ) else 8
+        if flits != expected:
+            return False
+    return True
+
+
+def shape_supported(nodes: int, dimensions: int, radix: int) -> bool:
+    """Whether ``bc_create`` accepts this torus (mirrors its guard)."""
+    return nodes < (1 << 20) and dimensions <= 8 and dimensions * radix <= 62
+
+
+def acquire() -> Tuple[Optional[tuple], str]:
+    """Resolve the core for a run it could serve: ``(loaded, reason)``.
+
+    ``loaded`` is ``(ffi, lib)`` or ``None``; ``reason`` says why in
+    words for run provenance.  Under ``REPRO_BATCH_ENGINE=c`` an
+    unavailable core raises :class:`~repro.errors.SimulationError`;
+    under ``auto`` the fallback bumps the ``sim.engine.core_fallback``
+    counter and warns (:class:`CoreFallbackWarning`, once per process),
+    so a build failure never degrades silently.
+    """
+    global _warned
+    mode = engine_mode()
+    if mode == "py":
+        return None, "REPRO_BATCH_ENGINE=py pins the Python engines"
+    if flits_compatible():
+        loaded = load()
+        if loaded is not None:
+            return loaded, "compiled core"
+        reason = (
+            "the compiled batch core is unavailable: "
+            f"{load_failure() or 'not built'}"
+        )
+    else:
+        reason = "message flit sizes differ from the core's"
+    if mode == "c":
+        raise SimulationError(f"REPRO_BATCH_ENGINE=c but {reason}")
+    obs.REGISTRY.counter(
+        "sim.engine.core_fallback",
+        help="eligible runs that fell back from the compiled core",
+    ).inc()
+    if not _warned:
+        _warned = True
+        warnings.warn(
+            f"{reason}; running on the Python engine",
+            CoreFallbackWarning,
+            stacklevel=3,
+        )
+    return None, reason
 
 
 def raise_error(ffi, lib, batch) -> None:

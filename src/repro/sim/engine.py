@@ -38,6 +38,15 @@ tracer samples; the parity suite pins all of it):
 The step loop is retained verbatim (``REPRO_SIM_ENGINE=0`` or
 ``Machine(engine=False)`` routes ``run`` through it) as the parity
 oracle, the same pattern as the fabric kernel vs the reference fabric.
+
+By default a fresh, uninstrumented cut-through ``Machine.run`` goes
+one step further and runs on the compiled C core
+(:mod:`repro.sim.batchcore`, as a one-lane
+:class:`~repro.sim.batch.BatchMachine`).  This engine then serves the
+runs the core cannot — wormhole switching, a custom fabric, a tracer
+or telemetry attached, a machine resumed mid-run, no core — and is the
+executable spec the core is checked against: ``Machine(engine=True)``
+pins it.
 """
 
 from __future__ import annotations
@@ -50,10 +59,12 @@ __all__ = ["MachineEngine", "engine_enabled_default"]
 
 
 def engine_enabled_default() -> bool:
-    """Whether ``Machine.run`` uses the event-calendar engine by default.
+    """Whether ``Machine.run`` defaults to an engine over the step loop.
 
     On unless ``REPRO_SIM_ENGINE=0`` — the escape hatch for debugging
-    and for timing the retained per-cycle loop.
+    and for timing the retained per-cycle loop.  With it on, the
+    default run takes the compiled core when eligible and this module's
+    event calendar otherwise.
     """
     return os.environ.get("REPRO_SIM_ENGINE", "1") != "0"
 

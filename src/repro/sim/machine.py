@@ -13,17 +13,25 @@ The machine advances in network cycles; processors tick on every
 fill, the protocol reaches steady state) followed by a measurement
 window, after which :meth:`Machine.run` returns the
 :class:`~repro.sim.stats.MeasurementSummary`.
+
+A fresh, uninstrumented cut-through machine runs on the compiled C
+core (:mod:`repro.sim.batchcore`) as a one-lane
+:class:`~repro.sim.batch.BatchMachine`; everything else runs on the
+Python event calendar (:mod:`repro.sim.engine`) or the per-cycle step
+loop.  All three paths produce identical summaries; ``engine_path`` and
+``engine_reason`` record which one ran and why.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.errors import SimulationError
 from repro.mapping.base import Mapping
+from repro.sim import batchcore
 from repro.sim.coherence import Block, CoherenceController
 from repro.sim.config import SimulationConfig
 from repro.sim.cut_through import CutThroughFabric
@@ -36,6 +44,11 @@ from repro.topology.torus import Torus
 from repro.workload.base import ThreadProgram
 
 __all__ = ["Machine", "place_programs"]
+
+_CORE_SPENT = (
+    "this machine ran on the compiled core, which now holds its state; "
+    "build a new Machine (or pass engine=True) to simulate further"
+)
 
 
 def _controller_node(controller: CoherenceController) -> int:
@@ -143,11 +156,21 @@ class Machine:
         :class:`repro.sim.reference.ReferenceTorusFabric`; when omitted
         the config's ``switching`` picks the production fabric.
     engine:
-        Whether :meth:`run` uses the event-calendar engine
-        (:mod:`repro.sim.engine`) instead of stepping every cycle.
-        Defaults to on; ``REPRO_SIM_ENGINE=0`` flips the default.  The
-        two paths are bit-identical (pinned by the parity suite) — the
-        engine is purely a performance feature.
+        Which engine :meth:`run` uses.  ``None`` (the default) picks the
+        fastest path that can serve the run: the compiled C core when
+        the machine is cut-through, fresh (cycle 0), has no
+        ``fabric_factory`` and no tracer or telemetry attached, and the
+        core loads; otherwise the event-calendar engine
+        (:mod:`repro.sim.engine`).  ``True`` pins the Python event
+        calendar, the executable spec the core is checked against;
+        ``False`` pins the per-cycle step loop.  ``REPRO_SIM_ENGINE=0``
+        makes the default the step loop and ``REPRO_BATCH_ENGINE=py``
+        keeps the default off the core; ``REPRO_BATCH_ENGINE=c`` makes
+        an eligible run raise when the core is unavailable.  Every path
+        is bit-identical (pinned by the parity suites) — the engine is
+        purely a performance feature.  After :meth:`run`,
+        ``engine_path`` (``"core"``, ``"calendar"`` or ``"loop"``) and
+        ``engine_reason`` record the choice.
     """
 
     def __init__(
@@ -165,6 +188,7 @@ class Machine:
         )
         self.mapping = mapping
         self.stats = MachineStats(nodes=self.torus.node_count)
+        self._fabric_factory = fabric_factory
         if fabric_factory is not None:
             self.fabric = fabric_factory(self.torus, on_delivery=self._deliver)
         elif config.switching == "wormhole":
@@ -174,9 +198,17 @@ class Machine:
         self._cycle = 0
         self.tracer = None
         self.telemetry = None
+        self._engine_pin = engine
         self.engine_enabled = (
             engine_enabled_default() if engine is None else bool(engine)
         )
+        #: Engine that served the last :meth:`run` (``"core"``,
+        #: ``"calendar"`` or ``"loop"``) and why; ``None`` before a run.
+        self.engine_path: Optional[str] = None
+        self.engine_reason: Optional[str] = None
+        #: The one-lane core batch holding this machine's state after a
+        #: core run; the Python controllers and fabric are then retired.
+        self._core_batch = None
 
         # Event-driven engine scheduling: controllers whose engine went
         # from idle to busy this cycle land on ``_engine_ready`` (via the
@@ -282,6 +314,8 @@ class Machine:
         parity oracle; idle accounting lives in ``Processor.tick`` (its
         own fast path), the single source of truth both drivers share.
         """
+        if self._core_batch is not None:
+            raise SimulationError(_CORE_SPENT)
         cycle = self._cycle
         if cycle % self.config.network_speedup == 0:
             for processor in self.processors:
@@ -332,17 +366,30 @@ class Machine:
 
         ``warmup`` / ``measure`` override the config's windows (network
         cycles).  Idle/switch counters are sampled around the window so
-        processor-level fractions are window-accurate.
+        processor-level fractions are window-accurate.  The engine is
+        picked per call (see the class docstring); a machine that ran
+        on the compiled core is finished — its state lives in the core,
+        and a second ``run`` or ``step`` raises.
         """
+        if self._core_batch is not None:
+            raise SimulationError(_CORE_SPENT)
         warmup = self.config.warmup_network_cycles if warmup is None else warmup
         measure = (
             self.config.measure_network_cycles if measure is None else measure
         )
+        path, reason = self._select_engine()
+        self.engine_path = path
+        self.engine_reason = reason
+        obs.REGISTRY.counter(
+            f"sim.engine.{path}", help=f"Machine.run calls on the {path} path"
+        ).inc()
+        if path == "core":
+            return self._run_core(warmup, measure)
         # One engine serves both windows; it leaves processor state
         # flushed to the last boundary after each window, so the
         # between-window counter sampling below reads exactly what the
         # per-cycle loop would have left.
-        engine = MachineEngine(self) if self.engine_enabled else None
+        engine = MachineEngine(self) if path == "calendar" else None
         # The run loop is the simulator's hottest path, so the
         # instrumentation wraps the warmup/measurement windows rather
         # than individual steps; cycle totals land on a registry counter.
@@ -390,6 +437,55 @@ class Machine:
             sum(p.switch_count for p in self.processors) - switches_before
         )
         return self.summary()
+
+    def _select_engine(self) -> Tuple[str, str]:
+        """``(engine_path, engine_reason)`` for the next :meth:`run`."""
+        if self._engine_pin is not None:
+            if self._engine_pin:
+                return "calendar", "engine=True pins the event calendar"
+            return "loop", "engine=False pins the step loop"
+        if not self.engine_enabled:
+            return "loop", "REPRO_SIM_ENGINE=0 selects the step loop"
+        config = self.config
+        if config.switching != "cut_through":
+            reason = f"{config.switching} switching has no compiled core"
+        elif self._fabric_factory is not None:
+            reason = "custom fabric_factory"
+        elif self.tracer is not None:
+            reason = "tracer attached"
+        elif self.telemetry is not None:
+            reason = "telemetry attached"
+        elif self._cycle:
+            reason = f"resumed machine (cycle {self._cycle})"
+        elif not batchcore.shape_supported(
+            self.torus.node_count, config.dimensions, config.radix
+        ):
+            reason = "torus shape exceeds the compiled core's limits"
+        else:
+            loaded, reason = batchcore.acquire()
+            if loaded is not None:
+                return "core", "fresh uninstrumented cut-through run"
+        return "calendar", reason
+
+    def _run_core(self, warmup: int, measure: int) -> MeasurementSummary:
+        """Run both windows on the compiled core as a one-lane batch."""
+        from repro.sim.batch import BatchMachine  # batch imports this module
+
+        self._core_batch = BatchMachine.adopt(self)
+        with obs.span(
+            "sim.run",
+            warmup=warmup,
+            measure=measure,
+            nodes=self.torus.node_count,
+            engine="core",
+        ):
+            (summary,) = self._core_batch.run(warmup=warmup, measure=measure)
+        self._cycle = warmup + measure
+        if obs.is_enabled():
+            obs.REGISTRY.counter(
+                "sim.cycles", help="network cycles stepped by Machine.run"
+            ).inc(warmup + measure)
+        return summary
 
     def summary(self) -> MeasurementSummary:
         """Reduce the measured window to model-facing quantities."""

@@ -81,7 +81,8 @@ class TestBatchParityProperties:
         )
         for seed, summary in zip(seeds, batched):
             solo = Machine(
-                config.with_seed(seed), mapping, copy.deepcopy(programs)
+                config.with_seed(seed), mapping, copy.deepcopy(programs),
+                engine=True,
             ).run(warmup=200, measure=600)
             batch_dict = summary.as_dict()
             solo_dict = solo.as_dict()

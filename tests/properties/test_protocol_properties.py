@@ -38,7 +38,9 @@ def run_machine(seed, write_fraction, remote_writes, cache_lines, mapping_seed):
         if mapping_seed is None
         else random_mapping(16, mapping_seed)
     )
-    machine = Machine(config, mapping, programs)
+    # The invariants read the Python controllers' caches and directories,
+    # so pin the Python engine (the compiled core keeps its state in C).
+    machine = Machine(config, mapping, programs, engine=True)
     machine.run(warmup=0, measure=3000)
     return machine
 

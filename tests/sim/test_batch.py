@@ -51,10 +51,12 @@ def small_setup(radix=4, dimensions=2, contexts=2, switching="cut_through",
 
 
 def serial_summaries(config, mapping, programs, seeds, telemetry=None):
+    """The Python spec's per-seed summaries (``engine=True`` pins it)."""
     summaries = []
     for seed in seeds:
         machine = Machine(
-            config.with_seed(seed), mapping, copy.deepcopy(programs)
+            config.with_seed(seed), mapping, copy.deepcopy(programs),
+            engine=True,
         )
         if telemetry is not None:
             machine.attach_telemetry(telemetry)

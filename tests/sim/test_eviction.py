@@ -13,7 +13,10 @@ from repro.workload.synthetic import build_programs
 from tests.sim.test_machine import coherence_violations
 
 
-def build(cache_lines=0, workload="neighbor", contexts=1, radix=4, seed=5):
+def build(
+    cache_lines=0, workload="neighbor", contexts=1, radix=4, seed=5,
+    engine=None,
+):
     config = SimulationConfig(
         radix=radix,
         dimensions=2,
@@ -33,7 +36,7 @@ def build(cache_lines=0, workload="neighbor", contexts=1, radix=4, seed=5):
         programs = uniform_random_graph_programs(
             graph, contexts, config.compute_cycles, config.compute_jitter
         )
-    return Machine(config, identity_mapping(nodes), programs)
+    return Machine(config, identity_mapping(nodes), programs, engine=engine)
 
 
 class TestCapacityEnforcement:
@@ -43,7 +46,8 @@ class TestCapacityEnforcement:
         assert summary.cache_evictions == 0
 
     def test_capacity_respected_after_run(self):
-        machine = build(cache_lines=3, workload="uniform")
+        # Reads the Python controllers' caches: pin the Python engine.
+        machine = build(cache_lines=3, workload="uniform", engine=True)
         machine.run()
         for controller in machine.controllers:
             # Mid-transaction installs may transiently overflow by the
@@ -82,12 +86,15 @@ class TestCoherenceUnderEviction:
     @pytest.mark.parametrize("workload", ["neighbor", "uniform"])
     @pytest.mark.parametrize("cache_lines", [2, 4])
     def test_invariants_hold_with_tiny_caches(self, workload, cache_lines):
-        machine = build(cache_lines=cache_lines, workload=workload, contexts=2)
+        machine = build(
+            cache_lines=cache_lines, workload=workload, contexts=2,
+            engine=True,
+        )
         machine.run()
         assert eviction_aware_violations(machine) == []
 
     def test_modified_eviction_returns_line_home(self):
-        machine = build(cache_lines=2, workload="uniform")
+        machine = build(cache_lines=2, workload="uniform", engine=True)
         machine.run()
         # Every directory entry claiming MODIFIED must have a live owner
         # copy or an outstanding transaction (checked above); spot-check

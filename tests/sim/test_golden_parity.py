@@ -50,7 +50,9 @@ def run_case(switching: str, contexts: int, mapping_name: str) -> dict:
     latencies: Counter = Counter()
     hops: Counter = Counter()
 
-    machine = Machine(config, mapping, programs)
+    # The recorder hooks the Python fabric's delivery callback, so pin
+    # the Python engine.
+    machine = Machine(config, mapping, programs, engine=True)
     original_deliver = machine._deliver
 
     def recording_deliver(transit):

@@ -107,10 +107,12 @@ def machine_summaries(config, mapping, programs):
     Programs carry mutable per-run state, so each machine gets its own
     deep copy — the comparison must differ only in the fabric.
     """
-    kernel = Machine(config, mapping, copy.deepcopy(programs)).run()
+    kernel = Machine(
+        config, mapping, copy.deepcopy(programs), engine=True
+    ).run()
     reference = Machine(
         config, mapping, copy.deepcopy(programs),
-        fabric_factory=ReferenceTorusFabric,
+        fabric_factory=ReferenceTorusFabric, engine=True,
     ).run()
     return kernel, reference
 

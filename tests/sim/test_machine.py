@@ -12,7 +12,10 @@ from repro.topology.graphs import torus_neighbor_graph
 from repro.workload.synthetic import build_programs
 
 
-def build(contexts=1, mapping=None, switching="cut_through", radix=4, seed=5):
+def build(
+    contexts=1, mapping=None, switching="cut_through", radix=4, seed=5,
+    engine=None,
+):
     config = SimulationConfig(
         radix=radix,
         dimensions=2,
@@ -29,7 +32,7 @@ def build(contexts=1, mapping=None, switching="cut_through", radix=4, seed=5):
     )
     if mapping is None:
         mapping = identity_mapping(nodes)
-    return Machine(config, mapping, programs)
+    return Machine(config, mapping, programs, engine=engine)
 
 
 def coherence_violations(machine):
@@ -112,7 +115,8 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("switching", ["cut_through", "wormhole"])
     def test_coherence_invariants_hold_after_run(self, switching):
-        machine = build(switching=switching, contexts=2)
+        # Reads the Python controllers' state: pin the Python engine.
+        machine = build(switching=switching, contexts=2, engine=True)
         machine.run()
         assert coherence_violations(machine) == []
 

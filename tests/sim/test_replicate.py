@@ -33,6 +33,22 @@ def small_setup(radix=4, contexts=2):
     return config, mapping, programs
 
 
+def spec_dicts(config, mapping, programs, seeds):
+    """Per-seed summaries from the Python spec (``engine=True`` pins it).
+
+    Default ``Machine.run`` calls on these cut-through machines run on
+    the compiled core, so the oracle must pin the Python engine or the
+    core would be compared with itself.
+    """
+    return [
+        Machine(
+            config.with_seed(seed), mapping, copy.deepcopy(programs),
+            engine=True,
+        ).run().as_dict()
+        for seed in seeds
+    ]
+
+
 class TestSeeds:
     def test_default_seeds_enumerate_from_root(self):
         assert default_seeds(1992, 3) == (1992, 1993, 1994)
@@ -84,7 +100,9 @@ class TestDeterminism:
         # zero reproduces the old single-seed run exactly — adding error
         # bars never moves existing point estimates.
         config, mapping, programs = small_setup()
-        single = Machine(config, mapping, copy.deepcopy(programs)).run()
+        single = Machine(
+            config, mapping, copy.deepcopy(programs), engine=True
+        ).run()
         result = run_replications(
             config, mapping, programs, default_seeds(config.seed, 2)
         )
@@ -199,9 +217,9 @@ class TestBatchedReplication:
         batched = run_replications(
             config, mapping, programs, seeds, batch=2
         )
-        assert [s.as_dict() for s in batched.summaries] == [
-            s.as_dict() for s in serial.summaries
-        ]
+        spec = spec_dicts(config, mapping, programs, seeds)
+        assert [s.as_dict() for s in serial.summaries] == spec
+        assert [s.as_dict() for s in batched.summaries] == spec
         assert batched.aggregates == serial.aggregates
         assert batched.rng == serial.rng
 
@@ -210,15 +228,14 @@ class TestBatchedReplication:
 
         config, mapping, programs = small_setup()
         seeds = default_seeds(config.seed, 4)
-        serial = run_replications(config, mapping, programs, seeds)
         with WorkerPool(2) as pool:
             batched = run_replications(
                 config, mapping, programs, seeds,
                 jobs=2, pool=pool, batch=2,
             )
-        assert [s.as_dict() for s in batched.summaries] == [
-            s.as_dict() for s in serial.summaries
-        ]
+        assert [s.as_dict() for s in batched.summaries] == spec_dicts(
+            config, mapping, programs, seeds
+        )
 
     def test_batched_telemetry_merges_identically(self):
         # Satellite regression: per-rep snapshots sliced out of a batch
