@@ -18,19 +18,17 @@ Row catalogue:
   The ``>= 2.5x`` floor only asserts under ``REPRO_BENCH_STRICT=1``
   (noisy shared runners); everywhere else the committed baseline plus
   the ``repro-bench compare`` >20%-drop gate watches the number.
-* ``replication_batch_py`` — the same measurement with
-  ``REPRO_BATCH_ENGINE=py`` forced, pinning the pure-Python batch
-  engine (the compiled core's executable spec) to parity and keeping
-  its wall clock on the record.  No floor: the Python engine's job is
-  correctness, not speed.
 * ``replication_batch_vs_core`` — batched wall against the default
   serial ``run_replications`` path, whose single runs now take the
   compiled core one lane at a time: what batching adds once the core
   serves single runs too.  No floor; reported for honesty.
 
-The serial reference of the first two rows is one Python-spec machine
-per seed (``Machine(..., engine=True)``): the serial path these rows
-were defined against, and the parity oracle every row is held to.
+The serial reference of the first row is one Python-spec machine per
+seed (``Machine(..., engine=True)``): the serial path the row was
+defined against, and the parity oracle every row is held to.  Each
+row's ``engine`` field is ``"c"`` when the compiled core loads and
+``"serial"`` when it does not, in which case ``run_batch`` runs the
+batch as serial spec runs.
 
 Parity is asserted on every row, always: batching must return exactly
 the summaries the serial path produces, whatever the timing.  Unlike
@@ -49,7 +47,6 @@ import time
 
 from repro.mapping.strategies import random_mapping
 from repro.sim import batchcore
-from repro.sim.batch import BatchMachine
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
 from repro.sim.replicate import default_seeds, run_replications
@@ -91,11 +88,6 @@ def _best_of(count, fn):
     return best, result
 
 
-def _engine_for(config, mapping, programs, seeds):
-    """Which engine a batch of this shape selects ("c" or "py")."""
-    return BatchMachine(config, mapping, programs, seeds[:1]).engine
-
-
 def _serial_spec(config, mapping, programs, seeds):
     """One Python-spec machine per seed, isolated like the serial path."""
     return [
@@ -113,7 +105,8 @@ def measure_batch_throughput(quick=False, best_of=1):
     """Serial vs lockstep-batched wall clock on one core, parity-gated."""
     config, mapping, programs, seeds = _workload(quick)
     batch = len(seeds)
-    batchcore.load()  # build/dlopen once, outside every timed run
+    # Build/dlopen once, outside every timed run.
+    engine = "c" if batchcore.load() is not None else "serial"
     serial_seconds, serial = _best_of(
         best_of, lambda: _serial_spec(config, mapping, programs, seeds)
     )
@@ -122,60 +115,38 @@ def measure_batch_throughput(quick=False, best_of=1):
         best_of,
         lambda: run_replications(config, mapping, programs, seeds, jobs=1),
     )
-    rows = []
-    for engine_mode, bench in (
-        (None, "replication_batch"),
-        ("py", "replication_batch_py"),
-    ):
-        previous = os.environ.get("REPRO_BATCH_ENGINE")
-        if engine_mode is not None:
-            os.environ["REPRO_BATCH_ENGINE"] = engine_mode
-        try:
-            engine = _engine_for(config, mapping, programs, seeds)
-            batched_seconds, batched = _best_of(
-                best_of,
-                lambda: run_replications(
-                    config, mapping, programs, seeds, batch=batch
-                ),
-            )
-        finally:
-            if engine_mode is not None:
-                if previous is None:
-                    del os.environ["REPRO_BATCH_ENGINE"]
-                else:
-                    os.environ["REPRO_BATCH_ENGINE"] = previous
-        if engine_mode is None:
-            default_seconds = batched_seconds
-        rows.append(
-            {
-                "bench": bench,
-                "config": f"{len(seeds)} seeds, serial vs batch={batch}",
-                "wall_s": round(batched_seconds, 4),
-                "serial_wall_s": round(serial_seconds, 4),
-                "speedup_vs_reference": round(
-                    serial_seconds / batched_seconds, 2
-                ),
-                "parity": [s.as_dict() for s in batched.summaries]
-                == expected,
-                "engine": engine,
-                "batch": batch,
-            }
-        )
-    default = rows[0]
-    rows.append(
+    batched_seconds, batched = _best_of(
+        best_of,
+        lambda: run_replications(
+            config, mapping, programs, seeds, batch=batch
+        ),
+    )
+    batched_parity = [s.as_dict() for s in batched.summaries] == expected
+    return [
+        {
+            "bench": "replication_batch",
+            "config": f"{len(seeds)} seeds, serial vs batch={batch}",
+            "wall_s": round(batched_seconds, 4),
+            "serial_wall_s": round(serial_seconds, 4),
+            "speedup_vs_reference": round(
+                serial_seconds / batched_seconds, 2
+            ),
+            "parity": batched_parity,
+            "engine": engine,
+            "batch": batch,
+        },
         {
             "bench": "replication_batch_vs_core",
             "config": f"{len(seeds)} seeds, serial core vs batch={batch}",
-            "wall_s": default["wall_s"],
+            "wall_s": round(batched_seconds, 4),
             "serial_wall_s": round(core_seconds, 4),
-            "speedup_vs_reference": round(core_seconds / default_seconds, 2),
-            "parity": default["parity"]
+            "speedup_vs_reference": round(core_seconds / batched_seconds, 2),
+            "parity": batched_parity
             and [s.as_dict() for s in core_serial.summaries] == expected,
-            "engine": default["engine"],
+            "engine": engine,
             "batch": batch,
-        }
-    )
-    return rows
+        },
+    ]
 
 
 # ----------------------------------------------------------------------

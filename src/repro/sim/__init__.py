@@ -10,19 +10,24 @@ The wormhole fabric's hot path is the array kernel
 object-based implementation it replaced survives as
 :class:`repro.sim.reference.ReferenceTorusFabric`, the executable
 specification the parity suite pins the kernel to cycle for cycle.
-Multi-seed replication with error bars lives in
-:mod:`repro.sim.replicate`; :mod:`repro.sim.batch` runs many seeds of
-one config in lockstep (one engine pass, bit-identical per-seed
-summaries), behind ``run_replications(..., batch=R)``.
+The coherence protocol and the cut-through fabric have one Python
+implementation each (:mod:`repro.sim.coherence`,
+:mod:`repro.sim.cut_through`), the spec the compiled core
+(:mod:`repro.sim.batchcore`) is pinned to.  Multi-seed replication with
+error bars lives in :mod:`repro.sim.replicate`; :mod:`repro.sim.batch`
+runs many seeds of one config in lockstep on the core (bit-identical
+per-seed summaries), behind ``run_replications(..., batch=R)``, and runs
+batches the core cannot serve as serial spec runs.
 """
 
 from repro.sim.batch import BatchMachine, run_batch
 from repro.sim.coherence import CacheState, CoherenceController, DirectoryState
 from repro.sim.config import SimulationConfig
+from repro.sim.kernel import DeliveredWorm as Worm
 from repro.sim.kernel import FabricKernel
+from repro.sim.kernel import FabricKernel as TorusFabric
 from repro.sim.machine import Machine
 from repro.sim.message import CONTROL_FLITS, DATA_FLITS, Message, MessageKind
-from repro.sim.network import TorusFabric, Worm
 from repro.sim.processor import ContextState, HardwareContext, Processor
 from repro.sim.reference import ReferenceTorusFabric, ReferenceWorm
 from repro.sim.replicate import (

@@ -1,9 +1,9 @@
-/* Batched replication core: C transliteration of repro.sim.batch's
- * coherence controller + cut-through fabric + per-cycle advance loop.
+/* Batched replication core: C transliteration of the coherence
+ * controller (repro.sim.coherence), the cut-through fabric
+ * (repro.sim.cut_through) and the event-calendar per-cycle loop.
  *
- * The pure-Python BatchController/BatchFabric in batch.py is the
- * behavioral spec (itself parity-pinned against the serial machine);
- * this file ports it line for line so every replication's
+ * The serial Python classes in coherence.py and cut_through.py are the
+ * behavioral spec; this file ports them so every replication's
  * MeasurementSummary stays bit-identical to the serial run.  Python
  * keeps the processors (unmodified RNG draw order) and drives this
  * core between processor boundaries via bc_advance().
@@ -234,7 +234,8 @@ typedef struct {
     int next_free;
 } Req;
 
-/* Engine event (one opcode tuple of the Python port). */
+/* Engine event: one protocol step that coherence.py schedules as a
+ * closure, encoded here as an opcode plus operands. */
 typedef struct {
     int cost, op, b0, a0, a1;
     i64 a2;
@@ -679,7 +680,8 @@ static void comp_push(Rep *rep, i64 handle, i64 cycle) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Shared e-cube routes (port of Torus.route_hops + FabricGeometry).   */
+/* Shared e-cube routes (port of Torus.route_hops + cut_through.py's  */
+/* enumerate_channels).                                                */
 /* Channel ids: inj(s)=s, ej(d)=N+d, link(node,dim,step) =             */
 /* 2N + (node*dims + dim)*2 + (step==+1 ? 0 : 1).                      */
 /* ------------------------------------------------------------------ */
@@ -742,7 +744,7 @@ static int route_get(Batch *b, int src, int dst, int *len_out) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Fabric (port of BatchFabric).                                       */
+/* Fabric (port of cut_through.py's CutThroughFabric).                */
 /* ------------------------------------------------------------------ */
 
 static void qe_push(Queue *q, i64 elig, int transit) {
@@ -835,7 +837,8 @@ static i64 fab_next(Batch *b, Rep *rep, i64 cycle) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Controller engine + protocol handlers (port of BatchController).    */
+/* Controller engine + protocol handlers (port of coherence.py's       */
+/* CoherenceController).                                               */
 /* ------------------------------------------------------------------ */
 
 static void ctrl_execute(Batch *b, Rep *rep, int r, int node, Ev *ev,
@@ -1320,7 +1323,7 @@ static void ctrl_execute(Batch *b, Rep *rep, int r, int node, Ev *ev,
 }
 
 /* ------------------------------------------------------------------ */
-/* Fabric tick (port of BatchFabric.tick; telemetry-free path).        */
+/* Fabric tick (port of CutThroughFabric.tick; telemetry-free path).   */
 /* ------------------------------------------------------------------ */
 
 static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {

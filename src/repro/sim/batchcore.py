@@ -1,18 +1,23 @@
-"""On-demand compiled C core for the batched replication engine.
+"""On-demand compiled C core for the cut-through simulator.
 
 Compiles :mod:`repro.sim` ``_batchcore.c`` with the system C compiler
 the first time it is needed (cached under the user cache directory,
 keyed by source hash) and loads it through :mod:`cffi` in ABI mode —
-no setuptools build step, no Python.h dependency.  Everything degrades
-gracefully: if a compiler or cffi is unavailable, ``load()`` returns
-``None`` and callers fall back to Python — :mod:`repro.sim.batch` to its
-pure-Python engine, :meth:`repro.sim.machine.Machine.run` to the event
-calendar — loudly, through :func:`acquire`.
+no setuptools build step, no Python.h dependency.  The core is a port
+of :mod:`repro.sim.coherence` and :mod:`repro.sim.cut_through`, the
+Python spec it is parity-pinned to.
+
+:func:`select_core` is the single place that decides whether a run can
+take the core: :meth:`repro.sim.machine.Machine.run` and
+:func:`repro.sim.batch.run_batch` both ask it.  When the core cannot
+serve a run — wormhole switching, instrumentation, no compiler or cffi —
+callers run the Python spec instead, and an unavailable core degrades
+loudly (see :func:`acquire`).
 
 The ``REPRO_BATCH_ENGINE`` environment variable gates selection:
-``auto`` (default) uses the core when available and applicable, ``py``
-forces the Python engines, and ``c`` requires the core (raising if it
-cannot be built).
+``auto`` (default) uses the core when available and applicable, and
+``c`` requires it (raising if it cannot be built).
+``Machine(..., engine=True)`` pins the Python spec for a single run.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "flits_compatible",
     "load",
     "raise_error",
+    "select_core",
     "shape_supported",
 ]
 
@@ -80,15 +86,21 @@ _warned = False
 
 
 class CoreFallbackWarning(RuntimeWarning):
-    """A run the compiled core could serve fell back to a Python engine."""
+    """A run the compiled core could serve fell back to the Python spec."""
 
 
 def engine_mode() -> str:
-    """Requested engine: ``auto`` (default), ``c``, or ``py``."""
+    """Requested engine: ``auto`` (default) or ``c``."""
     mode = os.environ.get("REPRO_BATCH_ENGINE", "auto").strip().lower()
-    if mode not in ("auto", "c", "py"):
+    if mode == "py":
         raise SimulationError(
-            f"REPRO_BATCH_ENGINE must be auto, c, or py; got {mode!r}"
+            "REPRO_BATCH_ENGINE=py is gone: the Python batch engine was "
+            "removed; use auto or c, and pass Machine(..., engine=True) "
+            "to pin the Python spec"
+        )
+    if mode not in ("auto", "c"):
+        raise SimulationError(
+            f"REPRO_BATCH_ENGINE must be auto or c; got {mode!r}"
         )
     return mode
 
@@ -201,8 +213,6 @@ def acquire() -> Tuple[Optional[tuple], str]:
     """
     global _warned
     mode = engine_mode()
-    if mode == "py":
-        return None, "REPRO_BATCH_ENGINE=py pins the Python engines"
     if flits_compatible():
         loaded = load()
         if loaded is not None:
@@ -222,11 +232,47 @@ def acquire() -> Tuple[Optional[tuple], str]:
     if not _warned:
         _warned = True
         warnings.warn(
-            f"{reason}; running on the Python engine",
+            f"{reason}; running on the Python spec",
             CoreFallbackWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return None, reason
+
+
+def select_core(
+    config,
+    *,
+    fabric_factory: bool = False,
+    tracer: bool = False,
+    telemetry: bool = False,
+    cycle: int = 0,
+) -> Tuple[Optional[tuple], str]:
+    """Whether the compiled core serves a run: ``(loaded, reason)``.
+
+    The core runs fresh (``cycle`` 0), uninstrumented cut-through
+    machines whose torus fits its limits; the flags say what the caller
+    attached.  For such a run this is :func:`acquire` (which may raise
+    under ``REPRO_BATCH_ENGINE=c``, or warn and count under ``auto``).
+    Otherwise ``loaded`` is ``None`` and ``reason`` says why in words.
+    A malformed ``REPRO_BATCH_ENGINE`` is rejected on every path.
+    """
+    engine_mode()
+    if config.switching != "cut_through":
+        return None, f"{config.switching} switching has no compiled core"
+    if fabric_factory:
+        return None, "custom fabric_factory"
+    if tracer:
+        return None, "tracer attached"
+    if telemetry:
+        return None, "telemetry attached"
+    if cycle:
+        return None, f"resumed machine (cycle {cycle})"
+    if not shape_supported(config.node_count, config.dimensions, config.radix):
+        return None, "torus shape exceeds the compiled core's limits"
+    loaded, reason = acquire()
+    if loaded is not None:
+        reason = "fresh uninstrumented cut-through run"
+    return loaded, reason
 
 
 def raise_error(ffi, lib, batch) -> None:

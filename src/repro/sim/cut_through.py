@@ -14,7 +14,7 @@ cycles (one injection hop, ``d`` switch hops, ejection + drain), matching
 the analytical model's ``d * T_h + B`` to within a cycle, and channel
 queueing matches the model's contention term far better than the rigid
 worm does — which is precisely why it is the default for the Section 3
-validation runs.  The rigid-worm fabric (:mod:`repro.sim.network`)
+validation runs.  The rigid-worm fabric (:mod:`repro.sim.kernel`)
 remains available via ``SimulationConfig(switching="wormhole")`` and is
 compared against this one in the buffering ablation benchmark.
 
@@ -51,7 +51,7 @@ from repro.sim.message import Message
 from repro.sim.telemetry import FabricTelemetry, TelemetryConfig
 from repro.topology.torus import Torus
 
-__all__ = ["Transit", "CutThroughFabric"]
+__all__ = ["Transit", "CutThroughFabric", "enumerate_channels"]
 
 ChannelKey = Tuple
 
@@ -86,6 +86,37 @@ class Transit:
         return self.message.flits
 
 
+def enumerate_channels(
+    torus: Torus,
+) -> Tuple[Dict[ChannelKey, int], List[int], List[Tuple[int, int, int]]]:
+    """Dense channel ids for every channel the geometry admits.
+
+    One injection and one ejection channel per node, then one link
+    channel per (node, dimension, direction), in that order.  Returns
+    ``(channel_index, link_of, link_keys)``: channel key to id, id to
+    physical-link index (``-1`` for injection/ejection), and link index
+    to ``(node, dim, step)``.  The order fixes telemetry snapshot layout
+    and ``link_flits`` keys; the compiled core's fabric view reads its
+    link keys from here too.
+    """
+    channel_index: Dict[ChannelKey, int] = {}
+    link_keys: List[Tuple[int, int, int]] = []
+    link_of: List[int] = []
+    for node in torus.nodes():
+        channel_index[("inj", node)] = len(link_of)
+        link_of.append(-1)
+    for node in torus.nodes():
+        channel_index[("ej", node)] = len(link_of)
+        link_of.append(-1)
+    for node in torus.nodes():
+        for dim in range(torus.dimensions):
+            for step in (1, -1):
+                channel_index[("link", node, dim, step)] = len(link_of)
+                link_of.append(len(link_keys))
+                link_keys.append((node, dim, step))
+    return channel_index, link_of, link_keys
+
+
 class CutThroughFabric:
     """Cycle-driven cut-through network with per-channel FIFO queueing."""
 
@@ -98,24 +129,9 @@ class CutThroughFabric:
         self.torus = torus
         self.on_delivery = on_delivery
 
-        # Enumerate every channel the geometry admits: one injection and
-        # one ejection channel per node, one link channel per (node,
-        # dimension, direction).
-        self._channel_index: Dict[ChannelKey, int] = {}
-        self._link_keys: List[Tuple[int, int, int]] = []
-        link_of: List[int] = []
-        for node in torus.nodes():
-            self._channel_index[("inj", node)] = len(link_of)
-            link_of.append(-1)
-        for node in torus.nodes():
-            self._channel_index[("ej", node)] = len(link_of)
-            link_of.append(-1)
-        for node in torus.nodes():
-            for dim in range(torus.dimensions):
-                for step in (1, -1):
-                    self._channel_index[("link", node, dim, step)] = len(link_of)
-                    link_of.append(len(self._link_keys))
-                    self._link_keys.append((node, dim, step))
+        self._channel_index, link_of, self._link_keys = enumerate_channels(
+            torus
+        )
         count = len(link_of)
         self._link_of = link_of
         #: Cycle each channel is busy until (exclusive).

@@ -36,8 +36,8 @@ from repro.sim.coherence import Block, CoherenceController
 from repro.sim.config import SimulationConfig
 from repro.sim.cut_through import CutThroughFabric
 from repro.sim.engine import MachineEngine, engine_enabled_default
+from repro.sim.kernel import FabricKernel
 from repro.sim.message import Message
-from repro.sim.network import TorusFabric
 from repro.sim.processor import Processor
 from repro.sim.stats import MachineStats, MeasurementSummary
 from repro.topology.torus import Torus
@@ -161,11 +161,11 @@ class Machine:
         the machine is cut-through, fresh (cycle 0), has no
         ``fabric_factory`` and no tracer or telemetry attached, and the
         core loads; otherwise the event-calendar engine
-        (:mod:`repro.sim.engine`).  ``True`` pins the Python event
+        (:mod:`repro.sim.engine`); :func:`repro.sim.batchcore
+        .select_core` decides.  ``True`` pins the Python event
         calendar, the executable spec the core is checked against;
         ``False`` pins the per-cycle step loop.  ``REPRO_SIM_ENGINE=0``
-        makes the default the step loop and ``REPRO_BATCH_ENGINE=py``
-        keeps the default off the core; ``REPRO_BATCH_ENGINE=c`` makes
+        makes the default the step loop; ``REPRO_BATCH_ENGINE=c`` makes
         an eligible run raise when the core is unavailable.  Every path
         is bit-identical (pinned by the parity suites) — the engine is
         purely a performance feature.  After :meth:`run`,
@@ -192,7 +192,7 @@ class Machine:
         if fabric_factory is not None:
             self.fabric = fabric_factory(self.torus, on_delivery=self._deliver)
         elif config.switching == "wormhole":
-            self.fabric = TorusFabric(self.torus, on_delivery=self._deliver)
+            self.fabric = FabricKernel(self.torus, on_delivery=self._deliver)
         else:
             self.fabric = CutThroughFabric(self.torus, on_delivery=self._deliver)
         self._cycle = 0
@@ -446,26 +446,14 @@ class Machine:
             return "loop", "engine=False pins the step loop"
         if not self.engine_enabled:
             return "loop", "REPRO_SIM_ENGINE=0 selects the step loop"
-        config = self.config
-        if config.switching != "cut_through":
-            reason = f"{config.switching} switching has no compiled core"
-        elif self._fabric_factory is not None:
-            reason = "custom fabric_factory"
-        elif self.tracer is not None:
-            reason = "tracer attached"
-        elif self.telemetry is not None:
-            reason = "telemetry attached"
-        elif self._cycle:
-            reason = f"resumed machine (cycle {self._cycle})"
-        elif not batchcore.shape_supported(
-            self.torus.node_count, config.dimensions, config.radix
-        ):
-            reason = "torus shape exceeds the compiled core's limits"
-        else:
-            loaded, reason = batchcore.acquire()
-            if loaded is not None:
-                return "core", "fresh uninstrumented cut-through run"
-        return "calendar", reason
+        loaded, reason = batchcore.select_core(
+            self.config,
+            fabric_factory=self._fabric_factory is not None,
+            tracer=self.tracer is not None,
+            telemetry=self.telemetry is not None,
+            cycle=self._cycle,
+        )
+        return ("core" if loaded is not None else "calendar"), reason
 
     def _run_core(self, warmup: int, measure: int) -> MeasurementSummary:
         """Run both windows on the compiled core as a one-lane batch."""

@@ -351,13 +351,13 @@ def run_replications(
     jobs-invariant registry merge.
 
     ``batch > 1`` packs the seeds into contiguous chunks of at most
-    ``batch`` and runs each chunk through the lockstep batch engine
-    (:func:`repro.sim.batch.run_batch`) instead of one machine per
-    seed — dividing the fixed per-cycle interpreter cost across the
-    chunk.  Per-seed summaries (and telemetry snapshots) are
-    bit-identical to the ``batch=1`` path, so batching composes freely
-    with ``jobs``: each chunk is one pool task, multiplying the batch
-    speedup by the pool's scaling.
+    ``batch`` and runs each chunk through
+    :func:`repro.sim.batch.run_batch` instead of one machine per seed:
+    one lockstep pass on the compiled core, or serial spec runs for a
+    chunk the core cannot serve.  Per-seed summaries (and telemetry
+    snapshots) are bit-identical to the ``batch=1`` path, so batching
+    composes freely with ``jobs``: each chunk is one pool task,
+    multiplying the batch speedup by the pool's scaling.
     """
     seeds = tuple(int(seed) for seed in seeds)
     if not seeds:

@@ -2,10 +2,11 @@
 
 The directed batch tests (tests/sim/test_batch.py) pin canned shapes;
 these sample machine shapes — {1,2,3}-D tori, identity and collocated
-mappings, both fabrics, ``network_speedup ∈ {1, 2}`` — and require the
-lockstep batch engine to reproduce each seed's solo ``Machine`` run bit
-for bit, whichever engine (compiled core or pure Python) the batch
-machine selected for the shape.
+mappings, both fabrics, ``network_speedup ∈ {1, 2}`` — and require
+``run_batch`` to reproduce each seed's solo ``Machine(engine=True)`` run
+(the Python spec) bit for bit.  On cut-through that pins the compiled
+core's lockstep lanes to the spec; on wormhole it pins the serial
+fallback, one spec run per seed.
 """
 
 import copy

@@ -1,26 +1,32 @@
-"""Tests for the lockstep batched replication engine.
+"""Tests for batched replication (:func:`run_batch`).
 
 The serial ``Machine`` is the bit-exactness oracle: every per-seed
-summary (and telemetry snapshot) out of :class:`BatchMachine` must be
-identical to the solo run for the same seed, in seed order.
+summary (and telemetry snapshot) out of :func:`run_batch` must be
+identical to the solo run for the same seed, in seed order — whether
+the batch ran in lockstep on the compiled core or, when the core cannot
+serve it, as serial spec runs.
 """
 
 import copy
 
 import pytest
 
+from repro import obs
 from repro.errors import ParameterError, SimulationError
 from repro.mapping.strategies import (
     block_collocation_mapping,
     identity_mapping,
     random_mapping,
 )
+from repro.sim import batchcore
 from repro.sim.batch import BatchMachine, run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
 from repro.sim.telemetry import TelemetryConfig
 from repro.topology.graphs import ring_graph, torus_neighbor_graph
 from repro.workload.synthetic import build_programs
+
+CORE_LOADS = batchcore.load() is not None
 
 
 def small_setup(radix=4, dimensions=2, contexts=2, switching="cut_through",
@@ -147,33 +153,65 @@ class TestBatchParity:
         ]
 
 
-class TestEngineSelection:
-    def test_engine_attribute_is_reported(self):
-        config, mapping, programs = small_setup()
-        machine = BatchMachine(config, mapping, programs, (config.seed,))
-        assert machine.engine in ("c", "py")
+def calendar_runs():
+    """``Machine.run`` calls served by the Python event calendar so far."""
+    counter = obs.REGISTRY.get("sim.engine.calendar")
+    return 0 if counter is None else counter.value
 
-    def test_forced_python_engine_matches_default(self, monkeypatch):
+
+class TestEngineSelection:
+    """Core batches run in lockstep; the rest run as serial spec runs."""
+
+    @pytest.mark.skipif(not CORE_LOADS, reason="compiled core unavailable")
+    def test_eligible_batch_runs_on_the_core(self):
         config, mapping, programs = small_setup()
         seeds = (config.seed, config.seed + 1)
-        default = run_batch(config, mapping, programs, seeds)
-        monkeypatch.setenv("REPRO_BATCH_ENGINE", "py")
-        machine = BatchMachine(config, mapping, programs, seeds)
-        assert machine.engine == "py"
-        assert_parity(machine.run(), default)
+        before = calendar_runs()
+        batched = run_batch(config, mapping, programs, seeds)
+        assert calendar_runs() == before
+        assert_parity(
+            batched, serial_summaries(config, mapping, programs, seeds)
+        )
 
     def test_wormhole_uses_python_path(self):
         config, mapping, programs = small_setup(switching="wormhole")
-        machine = BatchMachine(config, mapping, programs, (config.seed,))
-        assert machine.engine == "py"
+        seeds = (config.seed, config.seed + 1, config.seed + 2)
+        before = calendar_runs()
+        batched = run_batch(config, mapping, programs, seeds)
+        assert calendar_runs() == before + len(seeds)
+        assert_parity(
+            batched, serial_summaries(config, mapping, programs, seeds)
+        )
 
     def test_telemetry_uses_python_path(self):
         config, mapping, programs = small_setup()
-        machine = BatchMachine(
-            config, mapping, programs, (config.seed,),
-            telemetry=TelemetryConfig(epoch_cycles=128),
+        seeds = (config.seed, config.seed + 1)
+        telemetry = TelemetryConfig(epoch_cycles=128)
+        before = calendar_runs()
+        batched = run_batch(
+            config, mapping, programs, seeds, telemetry=telemetry
         )
-        assert machine.engine == "py"
+        assert calendar_runs() == before + len(seeds)
+        serial = serial_summaries(
+            config, mapping, programs, seeds, telemetry=telemetry
+        )
+        assert_parity(batched, serial)
+        for got, want in zip(batched, serial):
+            assert got.telemetry is not None
+            assert got.telemetry == want.telemetry
+
+    def test_batch_machine_rejects_configs_the_core_cannot_serve(self):
+        config, mapping, programs = small_setup(switching="wormhole")
+        with pytest.raises(SimulationError, match="wormhole switching"):
+            BatchMachine(config, mapping, programs, (config.seed,))
+
+    def test_python_batch_engine_gate_rejected(self, monkeypatch):
+        config, mapping, programs = small_setup()
+        monkeypatch.setenv("REPRO_BATCH_ENGINE", "py")
+        with pytest.raises(SimulationError, match="engine=True"):
+            run_batch(config, mapping, programs, (config.seed,))
+        with pytest.raises(SimulationError, match="engine=True"):
+            BatchMachine(config, mapping, programs, (config.seed,))
 
     def test_invalid_engine_mode_rejected(self, monkeypatch):
         config, mapping, programs = small_setup()
@@ -188,6 +226,7 @@ class TestValidation:
         with pytest.raises(ParameterError):
             BatchMachine(config, mapping, programs, ())
 
+    @pytest.mark.skipif(not CORE_LOADS, reason="compiled core unavailable")
     def test_run_is_single_use(self):
         config, mapping, programs = small_setup()
         machine = BatchMachine(config, mapping, programs, (config.seed,))

@@ -1,6 +1,6 @@
 """Cycle-exact parity: the array kernel vs the reference fabric.
 
-``repro.sim.network.TorusFabric`` *is* the kernel
+``repro.sim.TorusFabric`` *is* the kernel
 (:class:`repro.sim.kernel.FabricKernel`); the object-based implementation
 it replaced survives as :class:`repro.sim.reference.ReferenceTorusFabric`
 — the executable specification.  These tests pin the kernel to the

@@ -6,8 +6,9 @@ calendar (``engine=True``) stays the spec: these tests pin the default
 path to it on the two shapes the benchmark times (the Section 3.3
 validation torus and the replication torus), check that every run
 records which engine served it and why, that an unavailable core
-degrades loudly, and that a machine finished on the core refuses to
-simulate further.
+degrades loudly (single runs to the calendar, batches to serial spec
+runs), and that a machine finished on the core refuses to simulate
+further.
 """
 
 import copy
@@ -20,7 +21,7 @@ from repro.errors import SimulationError
 from repro.mapping import paper_mapping_suite
 from repro.mapping.strategies import identity_mapping, random_mapping
 from repro.sim import batchcore
-from repro.sim.batch import BatchMachine
+from repro.sim.batch import BatchMachine, run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
 from repro.sim.reference import ReferenceTorusFabric
@@ -35,9 +36,7 @@ CORE_LOADS = batchcore.load() is not None
 
 def expected_default_path():
     """What a default eligible run should use in this environment."""
-    if CORE_LOADS and batchcore.engine_mode() != "py":
-        return "core"
-    return "calendar"
+    return "core" if CORE_LOADS else "calendar"
 
 
 def setup(radix=4, contexts=1, switching="cut_through", **overrides):
@@ -59,6 +58,12 @@ def default_and_spec(config, mapping, programs, warmup, measure):
         config, mapping, copy.deepcopy(programs), engine=True
     ).run(warmup=warmup, measure=measure)
     return machine, default, spec
+
+
+def calendar_runs():
+    """``Machine.run`` calls served by the Python event calendar so far."""
+    counter = obs.REGISTRY.get("sim.engine.calendar")
+    return 0 if counter is None else counter.value
 
 
 def assert_same(default, spec):
@@ -134,11 +139,12 @@ class TestProvenance:
         path, reason = self.run(Machine(config, mapping, programs))
         assert path == "loop" and "REPRO_SIM_ENGINE" in reason
 
-    def test_batch_engine_py_keeps_default_off_the_core(self, monkeypatch):
+    def test_batch_engine_py_is_rejected(self, monkeypatch):
+        # The rejection points at the Python-spec pin.
         monkeypatch.setenv("REPRO_BATCH_ENGINE", "py")
         config, mapping, programs = setup()
-        path, reason = self.run(Machine(config, mapping, programs))
-        assert path == "calendar" and "REPRO_BATCH_ENGINE=py" in reason
+        with pytest.raises(SimulationError, match=r"engine=True"):
+            Machine(config, mapping, programs).run()
 
     def test_wormhole_stays_on_python(self):
         config, mapping, programs = setup(switching="wormhole")
@@ -216,10 +222,30 @@ class TestFallback:
         assert counter.value == before + 2
 
     def test_batch_falls_back_too(self, no_core):
+        config, mapping, programs = setup(contexts=2)
+        seeds = (config.seed, config.seed + 1)
+        before = calendar_runs()
+        with pytest.warns(batchcore.CoreFallbackWarning):
+            batched = run_batch(config, mapping, programs, seeds)
+        assert calendar_runs() == before + len(seeds)
+        for seed, summary in zip(seeds, batched):
+            spec = Machine(
+                config.with_seed(seed), mapping, copy.deepcopy(programs),
+                engine=True,
+            ).run()
+            assert_same(summary, spec)
+
+    def test_batch_machine_names_the_missing_core(self, no_core):
         config, mapping, programs = setup()
         with pytest.warns(batchcore.CoreFallbackWarning):
-            batch = BatchMachine(config, mapping, programs, (config.seed,))
-        assert batch.engine == "py"
+            with pytest.raises(SimulationError, match="no compiler"):
+                BatchMachine(config, mapping, programs, (config.seed,))
+
+    def test_forced_core_raises_from_run_batch(self, no_core, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH_ENGINE", "c")
+        config, mapping, programs = setup()
+        with pytest.raises(SimulationError, match="no compiler"):
+            run_batch(config, mapping, programs, (config.seed,))
 
     def test_forced_core_raises_when_unavailable(self, no_core, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH_ENGINE", "c")

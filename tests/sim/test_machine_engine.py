@@ -18,9 +18,9 @@ from repro.mapping.strategies import (
 from repro.sim.config import SimulationConfig
 from repro.sim.cut_through import CutThroughFabric
 from repro.sim.engine import MachineEngine, engine_enabled_default
+from repro.sim.kernel import FabricKernel
 from repro.sim.machine import Machine
 from repro.sim.message import Message, MessageKind
-from repro.sim.network import TorusFabric
 from repro.sim.reference import ReferenceTorusFabric
 from repro.sim.telemetry import TelemetryConfig
 from repro.sim.trace import Tracer
@@ -218,7 +218,7 @@ class TestFabricHorizons:
             assert fabric.next_event_cycle(cycle) == min(fabric._deliveries)
 
     @pytest.mark.parametrize(
-        "fabric_cls", [TorusFabric, ReferenceTorusFabric]
+        "fabric_cls", [FabricKernel, ReferenceTorusFabric]
     )
     def test_wormhole_horizon_is_busy_or_none(self, fabric_cls):
         fabric = fabric_cls(Torus(4, 2), on_delivery=lambda t: None)
