@@ -1,39 +1,33 @@
-"""Benchmarks: lockstep batched replication vs one machine per seed.
+"""Benchmarks: replication on the default path vs the Python spec.
 
 Two entry points, mirroring ``bench_pool.py``:
 
-* ``pytest benchmarks/bench_replication.py`` — the batched-throughput
-  rows, every row asserting byte-identical per-seed summaries between
-  the serial and batched ``run_replications`` paths.
+* ``pytest benchmarks/bench_replication.py`` — the replication
+  throughput row, asserting byte-identical per-seed summaries between
+  ``run_replications`` and the Python spec.
 * ``python benchmarks/bench_replication.py [--quick] [--best-of N]
-  [--output FILE]`` — script mode for CI smoke: measures the same rows
+  [--output FILE]`` — script mode for CI smoke: measures the same row
   (best-of-N wall clock to shave scheduler noise) and writes the
   ``BENCH_replication.json`` artifact for ``repro-bench compare``.
 
 Row catalogue:
 
-* ``replication_batch`` — serial wall over batched wall for the same
-  seed list on one core (``batch=R``, ``jobs=1``): the tentpole claim
-  that batching divides the fixed per-cycle interpreter cost by R.
+* ``replication_batch`` — the wall of one Python-spec machine per seed
+  (``Machine(..., engine=True)``) over the wall of
+  ``run_replications(..., batch=R)`` on the default path (``jobs=1``),
+  where every seed is its own ``Machine.run`` on the compiled core.
   The ``>= 2.5x`` floor only asserts under ``REPRO_BENCH_STRICT=1``
   (noisy shared runners); everywhere else the committed baseline plus
   the ``repro-bench compare`` >20%-drop gate watches the number.
-* ``replication_batch_vs_core`` — batched wall against the default
-  serial ``run_replications`` path, whose single runs now take the
-  compiled core one lane at a time: what batching adds once the core
-  serves single runs too.  No floor; reported for honesty.
 
-The serial reference of the first row is one Python-spec machine per
-seed (``Machine(..., engine=True)``): the serial path the row was
-defined against, and the parity oracle every row is held to.  Each
-row's ``engine`` field is ``"c"`` when the compiled core loads and
-``"serial"`` when it does not, in which case ``run_batch`` runs the
-batch as serial spec runs.
+The Python spec is also the parity oracle.  The row's ``engine`` field
+is ``"c"`` when the compiled core loads and ``"serial"`` when it does
+not, in which case every seed runs on the Python spec too.
 
-Parity is asserted on every row, always: batching must return exactly
-the summaries the serial path produces, whatever the timing.  Unlike
-``bench_pool``'s jobs scaling, the batch speedup is a single-core
-property, so the floor is meaningful even on one-CPU containers.
+Parity is asserted always: the default path must return exactly the
+summaries the spec produces, whatever the timing.  Unlike
+``bench_pool``'s jobs scaling, the speedup is a single-core property,
+so the floor is meaningful even on one-CPU containers.
 """
 
 from __future__ import annotations
@@ -56,8 +50,8 @@ from repro.workload.synthetic import build_programs
 SEED = 1992
 STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 
-#: STRICT-mode floor for the batched row (the tentpole claim is >= 3x
-#: at R=8 on a quiet core; 2.5x leaves headroom for loaded runners).
+#: STRICT-mode floor for the ``replication_batch`` row (>= 3x at R=8
+#: on a quiet core; 2.5x leaves headroom for loaded runners).
 BATCH_FLOOR = 2.5
 
 
@@ -102,7 +96,7 @@ def _serial_spec(config, mapping, programs, seeds):
 
 
 def measure_batch_throughput(quick=False, best_of=1):
-    """Serial vs lockstep-batched wall clock on one core, parity-gated."""
+    """Spec vs default-path wall clock on one core, parity-gated."""
     config, mapping, programs, seeds = _workload(quick)
     batch = len(seeds)
     # Build/dlopen once, outside every timed run.
@@ -111,10 +105,6 @@ def measure_batch_throughput(quick=False, best_of=1):
         best_of, lambda: _serial_spec(config, mapping, programs, seeds)
     )
     expected = [s.as_dict() for s in serial]
-    core_seconds, core_serial = _best_of(
-        best_of,
-        lambda: run_replications(config, mapping, programs, seeds, jobs=1),
-    )
     batched_seconds, batched = _best_of(
         best_of,
         lambda: run_replications(
@@ -135,17 +125,6 @@ def measure_batch_throughput(quick=False, best_of=1):
             "engine": engine,
             "batch": batch,
         },
-        {
-            "bench": "replication_batch_vs_core",
-            "config": f"{len(seeds)} seeds, serial core vs batch={batch}",
-            "wall_s": round(batched_seconds, 4),
-            "serial_wall_s": round(core_seconds, 4),
-            "speedup_vs_reference": round(core_seconds / batched_seconds, 2),
-            "parity": batched_parity
-            and [s.as_dict() for s in core_serial.summaries] == expected,
-            "engine": engine,
-            "batch": batch,
-        },
     ]
 
 
@@ -155,10 +134,10 @@ def measure_batch_throughput(quick=False, best_of=1):
 
 
 def test_batched_replication_speedup(bench_record):
-    """The tentpole: batch=R >= 2.5x serial on one core (STRICT only).
+    """Default-path replication >= 2.5x the spec on one core (STRICT only).
 
     Parity is asserted on every row, always — this is the CI-retained
-    bit-exactness check for the batched replication path.
+    bit-exactness check for the replication path.
     """
     rows = measure_batch_throughput(
         quick=not STRICT, best_of=2 if STRICT else 1
@@ -184,7 +163,7 @@ def test_batched_replication_speedup(bench_record):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="lockstep batched replication measurement (script mode)"
+        description="replication throughput measurement (script mode)"
     )
     parser.add_argument(
         "--quick", action="store_true",

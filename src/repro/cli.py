@@ -31,13 +31,12 @@ A second console script, ``repro-sim`` (:func:`sim_main`), fronts the
 cycle-level simulator directly:
 
 * ``replicate`` — run one machine configuration under several root
-  seeds (optionally across a process pool with ``--jobs``, and/or
-  packed into lockstep batches with ``--batch``, which shares one
-  engine pass across seeds with bit-identical per-seed results) and
-  print mean / std / 95% CI for every measured metric; ``--json FILE``
-  dumps
-  the per-seed summaries and aggregates, ``--trace DIR`` writes the
-  usual trace + manifest with the replication seeds recorded, and
+  seeds (optionally across a process pool with ``--jobs``; results
+  are identical for any value) and print mean / std / 95% CI for every
+  measured metric;
+  ``--json FILE`` dumps the per-seed summaries and aggregates,
+  ``--trace DIR`` writes the usual trace + manifest with the
+  replication seeds recorded, and
   ``--telemetry`` instruments every replication's fabric
   (:mod:`repro.sim.telemetry`) and prints the merged per-link
   utilization, latency distribution, and tree-saturation verdict;
@@ -414,13 +413,6 @@ def build_sim_parser() -> argparse.ArgumentParser:
         "the machine payload is broadcast to the pool once)",
     )
     replicate.add_argument(
-        "--batch", type=int, default=1, metavar="R",
-        help="seeds per lockstep batch (default: 1, one machine per "
-        "seed; R seeds share one batched engine pass, bit-identical "
-        "per-seed results, and each batch is one pool task under "
-        "--jobs)",
-    )
-    replicate.add_argument(
         "--warmup", type=int, default=None, metavar="CYCLES",
         help="warmup window override, network cycles",
     )
@@ -534,7 +526,6 @@ def _command_replicate(args) -> int:
             warmup=args.warmup,
             measure=args.measure,
             telemetry=telemetry,
-            batch=args.batch,
         )
     except ReproError as exc:
         print(f"replicate failed: {exc}", file=sys.stderr)
@@ -544,8 +535,7 @@ def _command_replicate(args) -> int:
         f"{config.node_count}-node radix-{config.radix} "
         f"{config.dimensions}-D torus ({config.switching}), "
         f"{args.contexts} contexts, {args.mapping} mapping: "
-        f"{len(seeds)} seeds {list(seeds)}, jobs={args.jobs}, "
-        f"batch={args.batch}"
+        f"{len(seeds)} seeds {list(seeds)}, jobs={args.jobs}"
     )
     width = max(len(name) for name in result.aggregates)
     for name, aggregate in result.aggregates.items():
@@ -636,7 +626,6 @@ def _command_replicate(args) -> int:
                 "switching": config.switching,
                 "mapping": args.mapping,
                 "jobs": args.jobs,
-                "batch": args.batch,
                 "telemetry": (
                     telemetry.as_dict() if telemetry is not None else None
                 ),

@@ -74,25 +74,12 @@ __all__ = [
     "SHARED_MEMORY_MIN_BYTES",
     "PoolFallbackWarning",
     "WorkerPool",
-    "chunk_tasks",
     "default_start_method",
     "get_pool",
     "note_fallback",
     "shutdown_global_pool",
 ]
 
-
-def chunk_tasks(items: Sequence, size: int) -> List[Tuple]:
-    """Split ``items`` into contiguous, order-preserving chunks.
-
-    Every chunk holds at most ``size`` items; the final chunk carries
-    the remainder.  This is the batching policy call sites share when
-    packing work units (e.g. replication seeds) into per-worker tasks:
-    contiguity keeps results reassemblable by simple concatenation.
-    """
-    if size < 1:
-        raise ParameterError(f"chunk size must be >= 1; got {size}")
-    return [tuple(items[i:i + size]) for i in range(0, len(items), size)]
 
 #: Exceptions that mean "no usable pool here".  Call sites with a serial
 #: path catch exactly this tuple, call :func:`note_fallback`, and rerun

@@ -13,14 +13,13 @@ specification the parity suite pins the kernel to cycle for cycle.
 The coherence protocol and the cut-through fabric have one Python
 implementation each (:mod:`repro.sim.coherence`,
 :mod:`repro.sim.cut_through`), the spec the compiled core
-(:mod:`repro.sim.batchcore`) is pinned to.  Multi-seed replication with
-error bars lives in :mod:`repro.sim.replicate`; :mod:`repro.sim.batch`
-runs many seeds of one config in lockstep on the core (bit-identical
-per-seed summaries), behind ``run_replications(..., batch=R)``, and runs
-batches the core cannot serve as serial spec runs.
+(:mod:`repro.sim.batchcore`) is pinned to; ``Machine.run`` takes the
+core (through :class:`repro.sim.batch.CoreDriver`) whenever it can
+serve the run.  Multi-seed replication with error bars lives in
+:mod:`repro.sim.replicate`: every seed is its own ``Machine.run``.
 """
 
-from repro.sim.batch import BatchMachine, run_batch
+from repro.sim.batch import run_batch
 from repro.sim.coherence import CacheState, CoherenceController, DirectoryState
 from repro.sim.config import SimulationConfig
 from repro.sim.kernel import DeliveredWorm as Worm
@@ -61,7 +60,6 @@ __all__ = [
     "FabricKernel",
     "ReferenceTorusFabric",
     "ReferenceWorm",
-    "BatchMachine",
     "run_batch",
     "MetricAggregate",
     "ReplicationResult",

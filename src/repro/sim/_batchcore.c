@@ -1,12 +1,14 @@
-/* Batched replication core: C transliteration of the coherence
+/* Compiled simulator core: C transliteration of the coherence
  * controller (repro.sim.coherence), the cut-through fabric
- * (repro.sim.cut_through) and the event-calendar per-cycle loop.
+ * (repro.sim.cut_through) and the event-calendar per-cycle loop, for
+ * one machine.
  *
  * The serial Python classes in coherence.py and cut_through.py are the
- * behavioral spec; this file ports them so every replication's
- * MeasurementSummary stays bit-identical to the serial run.  Python
+ * behavioral spec; this file ports them so a core run's
+ * MeasurementSummary stays bit-identical to the Python run.  Python
  * keeps the processors (unmodified RNG draw order) and drives this
- * core between processor boundaries via bc_advance().
+ * core between processor boundaries via bc_advance()
+ * (repro.sim.batch.CoreDriver).
  *
  * Compiled on demand by repro.sim.batchcore with the system C
  * compiler; no Python.h dependency (pure ABI, loaded via cffi).
@@ -263,9 +265,9 @@ typedef struct {
     int dhead, dcount, dcap;
 } Dir;
 
-/* LRU-as-dict-order cache: append-only (block, seq) log per
- * (rep, node); an entry is live iff the block's state is non-invalid
- * and its seq matches.  Compacted when the log outgrows the live set. */
+/* LRU-as-dict-order cache: append-only (block, seq) log per node; an
+ * entry is live iff the block's state is non-invalid and its seq
+ * matches.  Compacted when the log outgrows the live set. */
 typedef struct {
     int *items;  /* pairs (block, seq) */
     int start, end, cap;
@@ -300,38 +302,19 @@ typedef struct {
     i64 in_flight;
 } Fab;
 
-typedef struct {
-    i64 cycle;
-    Ctrl *ctrl;
-    int *ready;
-    int ready_count;
-    u64 *wake;  /* heap of (done_at << 20) | node */
-    int wcount, wcap;
-    Fab fab;
-    int measuring;
-    i64 sent, flits_sum, flits_sq, delivered, lat_total, hops_total;
-    i64 hopl_count, started, rcompleted, lcompleted, txn_lat, evictions;
-    double hopl_total;
-    i64 *per_node_sent;
-    i64 *comp;  /* pairs (handle, cycle) */
-    int comp_count, comp_cap;
-    int *batch;  /* ctrl-phase scratch */
-} Rep;
-
-typedef struct Batch {
-    int R, N, dims, radix, capacity, channels, links;
+typedef struct Core {
+    int N, dims, radix, capacity, channels, links;
     int req_cost, recv_cost, send_cost, mem_cost;
-    i64 RN;
     int errcode;
     char errmsg[256];
     /* blocks (block-major so adding a block appends, never relayouts) */
     int nblocks, blocks_cap;
     int *block_home;
-    int8_t *cache_state;  /* [block*R*N + rep*N + node] */
+    int8_t *cache_state;  /* [block*N + node] */
     int *cache_seq;       /* same layout */
     int *outstanding;     /* same layout; -1 or Req index */
-    Dir *dir;             /* [block*R + rep] */
-    CacheLog *clog;       /* [rep*N + node] */
+    Dir *dir;             /* [block] */
+    CacheLog *clog;       /* [node] */
     /* pools */
     Msg *msgs;
     int msgs_cap, msg_free;
@@ -346,30 +329,46 @@ typedef struct Batch {
     int *arena;        /* [len, ch...] records */
     int arena_len, arena_cap;
     int *pow_radix;    /* [dims] */
-    Rep *reps;
-} Batch;
+    /* the machine's controllers, fabric and counters */
+    i64 cycle;
+    Ctrl *ctrl;
+    int *ready;
+    int ready_count;
+    u64 *wake;  /* heap of (done_at << 20) | node */
+    int wcount, wcap;
+    Fab fab;
+    int measuring;
+    i64 sent, flits_sum, flits_sq, delivered, lat_total, hops_total;
+    i64 hopl_count, started, rcompleted, lcompleted, txn_lat, evictions;
+    double hopl_total;
+    i64 *per_node_sent;
+    i64 *comp;  /* pairs (handle, cycle) */
+    int comp_count, comp_cap;
+    int *scratch;  /* ctrl-phase scratch */
+} Core;
 
-static void fail(Batch *b, int code, const char *msg) {
-    if (b->errcode) return;
-    b->errcode = code;
-    snprintf(b->errmsg, sizeof(b->errmsg), "%s", msg);
+static void fail(Core *core, int code, const char *msg) {
+    if (core->errcode) return;
+    core->errcode = code;
+    snprintf(core->errmsg, sizeof(core->errmsg), "%s", msg);
 }
 
 /* -- pool allocators ------------------------------------------------ */
 
-static int msg_new(Batch *b, int kind, int source, int dest, int block,
+static int msg_new(Core *core, int kind, int source, int dest, int block,
                    i64 txn) {
-    int idx = b->msg_free;
+    int idx = core->msg_free;
     if (idx < 0) {
-        int old = b->msgs_cap;
-        b->msgs_cap = old ? old * 2 : 256;
-        b->msgs = (Msg *)realloc(b->msgs, (size_t)b->msgs_cap * sizeof(Msg));
-        for (int i = old; i < b->msgs_cap; i++)
-            b->msgs[i].next_free = (i + 1 < b->msgs_cap) ? i + 1 : -1;
+        int old = core->msgs_cap;
+        core->msgs_cap = old ? old * 2 : 256;
+        core->msgs = (Msg *)realloc(core->msgs,
+                                    (size_t)core->msgs_cap * sizeof(Msg));
+        for (int i = old; i < core->msgs_cap; i++)
+            core->msgs[i].next_free = (i + 1 < core->msgs_cap) ? i + 1 : -1;
         idx = old;
     }
-    Msg *m = &b->msgs[idx];
-    b->msg_free = m->next_free;
+    Msg *m = &core->msgs[idx];
+    core->msg_free = m->next_free;
     m->kind = kind;
     m->source = source;
     m->dest = dest;
@@ -380,24 +379,25 @@ static int msg_new(Batch *b, int kind, int source, int dest, int block,
     return idx;
 }
 
-static void msg_del(Batch *b, int idx) {
-    b->msgs[idx].next_free = b->msg_free;
-    b->msg_free = idx;
+static void msg_del(Core *core, int idx) {
+    core->msgs[idx].next_free = core->msg_free;
+    core->msg_free = idx;
 }
 
-static int transit_new(Batch *b, int msg, int route_off, int route_len) {
-    int idx = b->transit_free;
+static int transit_new(Core *core, int msg, int route_off, int route_len) {
+    int idx = core->transit_free;
     if (idx < 0) {
-        int old = b->transits_cap;
-        b->transits_cap = old ? old * 2 : 256;
-        b->transits = (Transit *)realloc(
-            b->transits, (size_t)b->transits_cap * sizeof(Transit));
-        for (int i = old; i < b->transits_cap; i++)
-            b->transits[i].next_free = (i + 1 < b->transits_cap) ? i + 1 : -1;
+        int old = core->transits_cap;
+        core->transits_cap = old ? old * 2 : 256;
+        core->transits = (Transit *)realloc(
+            core->transits, (size_t)core->transits_cap * sizeof(Transit));
+        for (int i = old; i < core->transits_cap; i++)
+            core->transits[i].next_free =
+                (i + 1 < core->transits_cap) ? i + 1 : -1;
         idx = old;
     }
-    Transit *t = &b->transits[idx];
-    b->transit_free = t->next_free;
+    Transit *t = &core->transits[idx];
+    core->transit_free = t->next_free;
     t->msg = msg;
     t->route_off = route_off;
     t->route_len = route_len;
@@ -406,25 +406,25 @@ static int transit_new(Batch *b, int msg, int route_off, int route_len) {
     return idx;
 }
 
-static void transit_del(Batch *b, int idx) {
-    b->transits[idx].next_free = b->transit_free;
-    b->transit_free = idx;
+static void transit_del(Core *core, int idx) {
+    core->transits[idx].next_free = core->transit_free;
+    core->transit_free = idx;
 }
 
-static int req_new(Batch *b, int block, int is_write, i64 issued_at,
+static int req_new(Core *core, int block, int is_write, i64 issued_at,
                    i64 uid, i64 handle) {
-    int idx = b->req_free;
+    int idx = core->req_free;
     if (idx < 0) {
-        int old = b->reqs_cap;
-        b->reqs_cap = old ? old * 2 : 128;
-        b->reqs = (Req *)realloc(b->reqs,
-                                 (size_t)b->reqs_cap * sizeof(Req));
-        for (int i = old; i < b->reqs_cap; i++)
-            b->reqs[i].next_free = (i + 1 < b->reqs_cap) ? i + 1 : -1;
+        int old = core->reqs_cap;
+        core->reqs_cap = old ? old * 2 : 128;
+        core->reqs = (Req *)realloc(core->reqs,
+                                 (size_t)core->reqs_cap * sizeof(Req));
+        for (int i = old; i < core->reqs_cap; i++)
+            core->reqs[i].next_free = (i + 1 < core->reqs_cap) ? i + 1 : -1;
         idx = old;
     }
-    Req *r = &b->reqs[idx];
-    b->req_free = r->next_free;
+    Req *r = &core->reqs[idx];
+    core->req_free = r->next_free;
     r->block = block;
     r->is_write = is_write;
     r->messages = 0;
@@ -436,37 +436,37 @@ static int req_new(Batch *b, int block, int is_write, i64 issued_at,
     return idx;
 }
 
-static void req_del(Batch *b, int idx) {
-    int w = b->reqs[idx].whead;
+static void req_del(Core *core, int idx) {
+    int w = core->reqs[idx].whead;
     while (w >= 0) {
-        int nxt = b->waiters[w].next;
-        b->waiters[w].next = b->waiter_free;
-        b->waiter_free = w;
+        int nxt = core->waiters[w].next;
+        core->waiters[w].next = core->waiter_free;
+        core->waiter_free = w;
         w = nxt;
     }
-    b->reqs[idx].next_free = b->req_free;
-    b->req_free = idx;
+    core->reqs[idx].next_free = core->req_free;
+    core->req_free = idx;
 }
 
-static void req_add_waiter(Batch *b, int ridx, int is_write, i64 handle) {
-    int idx = b->waiter_free;
+static void req_add_waiter(Core *core, int ridx, int is_write, i64 handle) {
+    int idx = core->waiter_free;
     if (idx < 0) {
-        int old = b->waiters_cap;
-        b->waiters_cap = old ? old * 2 : 128;
-        b->waiters = (Waiter *)realloc(
-            b->waiters, (size_t)b->waiters_cap * sizeof(Waiter));
-        for (int i = old; i < b->waiters_cap; i++)
-            b->waiters[i].next = (i + 1 < b->waiters_cap) ? i + 1 : -1;
+        int old = core->waiters_cap;
+        core->waiters_cap = old ? old * 2 : 128;
+        core->waiters = (Waiter *)realloc(
+            core->waiters, (size_t)core->waiters_cap * sizeof(Waiter));
+        for (int i = old; i < core->waiters_cap; i++)
+            core->waiters[i].next = (i + 1 < core->waiters_cap) ? i + 1 : -1;
         idx = old;
     }
-    Waiter *w = &b->waiters[idx];
-    b->waiter_free = w->next;
+    Waiter *w = &core->waiters[idx];
+    core->waiter_free = w->next;
     w->is_write = is_write;
     w->handle = handle;
     w->next = -1;
-    Req *r = &b->reqs[ridx];
+    Req *r = &core->reqs[ridx];
     if (r->wtail < 0) r->whead = idx;
-    else b->waiters[r->wtail].next = idx;
+    else core->waiters[r->wtail].next = idx;
     r->wtail = idx;
 }
 
@@ -474,14 +474,14 @@ static void req_add_waiter(Batch *b, int ridx, int is_write, i64 handle) {
 /* Cache (LRU-as-dict-order) over the append-only log.                 */
 /* ------------------------------------------------------------------ */
 
-#define CSTATE(b, blk, r, node) \
-    ((b)->cache_state[(size_t)(blk) * (b)->RN + (size_t)(r) * (b)->N + (node)])
-#define CSEQ(b, blk, r, node) \
-    ((b)->cache_seq[(size_t)(blk) * (b)->RN + (size_t)(r) * (b)->N + (node)])
-#define OUTST(b, blk, r, node) \
-    ((b)->outstanding[(size_t)(blk) * (b)->RN + (size_t)(r) * (b)->N + (node)])
+#define CSTATE(core, blk, node) \
+    ((core)->cache_state[(size_t)(blk) * (core)->N + (node)])
+#define CSEQ(core, blk, node) \
+    ((core)->cache_seq[(size_t)(blk) * (core)->N + (node)])
+#define OUTST(core, blk, node) \
+    ((core)->outstanding[(size_t)(blk) * (core)->N + (node)])
 
-static void clog_append(Batch *b, CacheLog *cl, int r, int node,
+static void clog_append(Core *core, CacheLog *cl, int node,
                         int block, int seq) {
     if (cl->end >= cl->cap) {
         /* Compact first if the log is mostly stale, else grow. */
@@ -489,8 +489,8 @@ static void clog_append(Batch *b, CacheLog *cl, int r, int node,
             int w = cl->start;
             for (int i = cl->start; i < cl->end; i++) {
                 int blk = cl->items[2 * i], sq = cl->items[2 * i + 1];
-                if (CSTATE(b, blk, r, node) != CS_INVALID &&
-                    CSEQ(b, blk, r, node) == sq) {
+                if (CSTATE(core, blk, node) != CS_INVALID &&
+                    CSEQ(core, blk, node) == sq) {
                     cl->items[2 * w] = blk;
                     cl->items[2 * w + 1] = sq;
                     w++;
@@ -513,57 +513,57 @@ static void clog_append(Batch *b, CacheLog *cl, int r, int node,
     cl->end++;
 }
 
-static int cache_get(Batch *b, int r, int node, int block) {
-    return CSTATE(b, block, r, node);
+static int cache_get(Core *core, int node, int block) {
+    return CSTATE(core, block, node);
 }
 
 /* cache.pop(block, None): returns prior state (CS_INVALID if absent). */
-static int cache_pop(Batch *b, int r, int node, int block) {
-    int st = CSTATE(b, block, r, node);
+static int cache_pop(Core *core, int node, int block) {
+    int st = CSTATE(core, block, node);
     if (st != CS_INVALID) {
-        CSTATE(b, block, r, node) = CS_INVALID;
-        b->clog[(size_t)r * b->N + node].live--;
+        CSTATE(core, block, node) = CS_INVALID;
+        core->clog[node].live--;
     }
     return st;
 }
 
 /* cache[block] = state after a pop: append to the back of LRU order. */
-static void cache_put(Batch *b, int r, int node, int block, int state) {
-    CacheLog *cl = &b->clog[(size_t)r * b->N + node];
+static void cache_put(Core *core, int node, int block, int state) {
+    CacheLog *cl = &core->clog[node];
     int seq = ++cl->seq;
-    CSTATE(b, block, r, node) = (int8_t)state;
-    CSEQ(b, block, r, node) = seq;
+    CSTATE(core, block, node) = (int8_t)state;
+    CSEQ(core, block, node) = seq;
     cl->live++;
-    clog_append(b, cl, r, node, block, seq);
+    clog_append(core, cl, node, block, seq);
 }
 
 /* record_access: pop + reinsert (touch). */
-void bc_record_access(Batch *b, int r, int node, int block) {
-    if (CSTATE(b, block, r, node) == CS_INVALID) return;
-    CacheLog *cl = &b->clog[(size_t)r * b->N + node];
+void bc_record_access(Core *core, int node, int block) {
+    if (CSTATE(core, block, node) == CS_INVALID) return;
+    CacheLog *cl = &core->clog[node];
     int seq = ++cl->seq;
-    CSEQ(b, block, r, node) = seq;
-    clog_append(b, cl, r, node, block, seq);
+    CSEQ(core, block, node) = seq;
+    clog_append(core, cl, node, block, seq);
 }
 
-int bc_is_hit(Batch *b, int r, int node, int block, int is_write) {
-    int st = CSTATE(b, block, r, node);
+int bc_is_hit(Core *core, int node, int block, int is_write) {
+    int st = CSTATE(core, block, node);
     if (is_write) return st == CS_MODIFIED;
     return st != CS_INVALID;
 }
 
 /* First live entry in LRU order that is neither `block` nor
  * outstanding (port of the _install victim scan over dict order). */
-static int cache_victim(Batch *b, int r, int node, int block) {
-    CacheLog *cl = &b->clog[(size_t)r * b->N + node];
+static int cache_victim(Core *core, int node, int block) {
+    CacheLog *cl = &core->clog[node];
     for (int i = cl->start; i < cl->end; i++) {
         int blk = cl->items[2 * i], sq = cl->items[2 * i + 1];
-        if (CSTATE(b, blk, r, node) == CS_INVALID ||
-            CSEQ(b, blk, r, node) != sq) {
+        if (CSTATE(core, blk, node) == CS_INVALID ||
+            CSEQ(core, blk, node) != sq) {
             if (i == cl->start) cl->start++;
             continue;
         }
-        if (blk == block || OUTST(b, blk, r, node) >= 0) continue;
+        if (blk == block || OUTST(core, blk, node) >= 0) continue;
         return blk;
     }
     return -1;
@@ -573,8 +573,8 @@ static int cache_victim(Batch *b, int r, int node, int block) {
 /* Directory entries.                                                  */
 /* ------------------------------------------------------------------ */
 
-static Dir *dir_entry(Batch *b, int r, int block) {
-    Dir *d = &b->dir[(size_t)block * b->R + r];
+static Dir *dir_entry(Core *core, int block) {
+    Dir *d = &core->dir[block];
     if (!d->init) {
         d->init = 1;
         d->state = DS_UNOWNED;
@@ -634,14 +634,14 @@ static Ev ev_pop(Ctrl *c) {
     return ev;
 }
 
-static void wheap_push(Rep *rep, u64 key) {
-    if (rep->wcount >= rep->wcap) {
-        rep->wcap = rep->wcap ? rep->wcap * 2 : 16;
-        rep->wake = (u64 *)realloc(rep->wake,
-                                   (size_t)rep->wcap * sizeof(u64));
+static void wheap_push(Core *core, u64 key) {
+    if (core->wcount >= core->wcap) {
+        core->wcap = core->wcap ? core->wcap * 2 : 16;
+        core->wake = (u64 *)realloc(core->wake,
+                                   (size_t)core->wcap * sizeof(u64));
     }
-    int i = rep->wcount++;
-    u64 *h = rep->wake;
+    int i = core->wcount++;
+    u64 *h = core->wake;
     while (i > 0) {
         int p = (i - 1) >> 1;
         if (h[p] <= key) break;
@@ -651,11 +651,11 @@ static void wheap_push(Rep *rep, u64 key) {
     h[i] = key;
 }
 
-static u64 wheap_pop(Rep *rep) {
-    u64 *h = rep->wake;
+static u64 wheap_pop(Core *core) {
+    u64 *h = core->wake;
     u64 top = h[0];
-    u64 last = h[--rep->wcount];
-    int n = rep->wcount, i = 0;
+    u64 last = h[--core->wcount];
+    int n = core->wcount, i = 0;
     for (;;) {
         int l = 2 * i + 1;
         if (l >= n) break;
@@ -668,15 +668,15 @@ static u64 wheap_pop(Rep *rep) {
     return top;
 }
 
-static void comp_push(Rep *rep, i64 handle, i64 cycle) {
-    if (rep->comp_count * 2 + 2 > rep->comp_cap) {
-        rep->comp_cap = rep->comp_cap ? rep->comp_cap * 2 : 64;
-        rep->comp = (i64 *)realloc(rep->comp,
-                                   (size_t)rep->comp_cap * sizeof(i64));
+static void comp_push(Core *core, i64 handle, i64 cycle) {
+    if (core->comp_count * 2 + 2 > core->comp_cap) {
+        core->comp_cap = core->comp_cap ? core->comp_cap * 2 : 64;
+        core->comp = (i64 *)realloc(core->comp,
+                                   (size_t)core->comp_cap * sizeof(i64));
     }
-    rep->comp[2 * rep->comp_count] = handle;
-    rep->comp[2 * rep->comp_count + 1] = cycle;
-    rep->comp_count++;
+    core->comp[2 * core->comp_count] = handle;
+    core->comp[2 * core->comp_count + 1] = cycle;
+    core->comp_count++;
 }
 
 /* ------------------------------------------------------------------ */
@@ -686,16 +686,16 @@ static void comp_push(Rep *rep, i64 handle, i64 cycle) {
 /* 2N + (node*dims + dim)*2 + (step==+1 ? 0 : 1).                      */
 /* ------------------------------------------------------------------ */
 
-static int route_get(Batch *b, int src, int dst, int *len_out) {
-    int *row = b->route_rows[src];
+static int route_get(Core *core, int src, int dst, int *len_out) {
+    int *row = core->route_rows[src];
     if (row == NULL) {
-        row = (int *)malloc((size_t)b->N * sizeof(int));
-        for (int i = 0; i < b->N; i++) row[i] = -1;
-        b->route_rows[src] = row;
+        row = (int *)malloc((size_t)core->N * sizeof(int));
+        for (int i = 0; i < core->N; i++) row[i] = -1;
+        core->route_rows[src] = row;
     }
     int off = row[dst];
     if (off >= 0) {
-        *len_out = b->arena[off];
+        *len_out = core->arena[off];
         return off + 1;
     }
     /* build */
@@ -705,39 +705,46 @@ static int route_get(Batch *b, int src, int dst, int *len_out) {
     int node = src;
     int ca[8], cb[8];
     int tmp = src;
-    for (int d = 0; d < b->dims; d++) { ca[d] = tmp % b->radix; tmp /= b->radix; }
+    for (int d = 0; d < core->dims; d++) {
+        ca[d] = tmp % core->radix;
+        tmp /= core->radix;
+    }
     tmp = dst;
-    for (int d = 0; d < b->dims; d++) { cb[d] = tmp % b->radix; tmp /= b->radix; }
-    for (int d = 0; d < b->dims; d++) {
+    for (int d = 0; d < core->dims; d++) {
+        cb[d] = tmp % core->radix;
+        tmp /= core->radix;
+    }
+    for (int d = 0; d < core->dims; d++) {
         int forward = cb[d] - ca[d];
-        if (forward < 0) forward += b->radix;
+        if (forward < 0) forward += core->radix;
         if (forward == 0) continue;
-        int backward = b->radix - forward;
+        int backward = core->radix - forward;
         int step, n;
         if (forward <= backward) { step = 1; n = forward; }
         else { step = -1; n = backward; }
         for (int i = 0; i < n; i++) {
-            chans[len++] = 2 * b->N + (node * b->dims + d) * 2 +
+            chans[len++] = 2 * core->N + (node * core->dims + d) * 2 +
                            (step == 1 ? 0 : 1);
             int oldc = ca[d];
             int newc = oldc + step;
-            if (newc < 0) newc += b->radix;
-            if (newc >= b->radix) newc -= b->radix;
-            node += (newc - oldc) * b->pow_radix[d];
+            if (newc < 0) newc += core->radix;
+            if (newc >= core->radix) newc -= core->radix;
+            node += (newc - oldc) * core->pow_radix[d];
             ca[d] = newc;
         }
     }
-    chans[len++] = b->N + dst;  /* ejection channel */
-    if (b->arena_len + len + 1 > b->arena_cap) {
-        b->arena_cap = b->arena_cap ? b->arena_cap * 2 : 4096;
-        while (b->arena_len + len + 1 > b->arena_cap) b->arena_cap *= 2;
-        b->arena = (int *)realloc(b->arena,
-                                  (size_t)b->arena_cap * sizeof(int));
+    chans[len++] = core->N + dst;  /* ejection channel */
+    if (core->arena_len + len + 1 > core->arena_cap) {
+        core->arena_cap = core->arena_cap ? core->arena_cap * 2 : 4096;
+        while (core->arena_len + len + 1 > core->arena_cap)
+            core->arena_cap *= 2;
+        core->arena = (int *)realloc(core->arena,
+                                  (size_t)core->arena_cap * sizeof(int));
     }
-    off = b->arena_len;
-    b->arena[off] = len;
-    memcpy(b->arena + off + 1, chans, (size_t)len * sizeof(int));
-    b->arena_len += len + 1;
+    off = core->arena_len;
+    core->arena[off] = len;
+    memcpy(core->arena + off + 1, chans, (size_t)len * sizeof(int));
+    core->arena_len += len + 1;
     row[dst] = off;
     *len_out = len;
     return off + 1;
@@ -805,14 +812,14 @@ static DHEnt dheap_pop(Fab *f) {
     return top;
 }
 
-static void fab_inject(Batch *b, Rep *rep, int midx, i64 cycle) {
-    Fab *f = &rep->fab;
-    Msg *m = &b->msgs[midx];
+static void fab_inject(Core *core, int midx, i64 cycle) {
+    Fab *f = &core->fab;
+    Msg *m = &core->msgs[midx];
     m->injected_at = cycle;
     int rlen;
-    int roff = route_get(b, m->source, m->dest, &rlen);
-    int tidx = transit_new(b, midx, roff, rlen);
-    int ch = b->arena[roff];
+    int roff = route_get(core, m->source, m->dest, &rlen);
+    int tidx = transit_new(core, midx, roff, rlen);
+    int ch = core->arena[roff];
     Queue *q = &f->queues[ch];
     if (!q->count) {
         f->pending[f->pcount++] = ch;
@@ -822,8 +829,8 @@ static void fab_inject(Batch *b, Rep *rep, int midx, i64 cycle) {
     f->in_flight++;
 }
 
-static i64 fab_next(Batch *b, Rep *rep, i64 cycle) {
-    Fab *f = &rep->fab;
+static i64 fab_next(Core *core, i64 cycle) {
+    Fab *f = &core->fab;
     i64 earliest = f->dcount ? (i64)(f->dheap[0].key >> 32) : -1;
     for (int i = 0; i < f->pcount; i++) {
         int ch = f->pending[i];
@@ -841,12 +848,12 @@ static i64 fab_next(Batch *b, Rep *rep, i64 cycle) {
 /* CoherenceController).                                               */
 /* ------------------------------------------------------------------ */
 
-static void ctrl_execute(Batch *b, Rep *rep, int r, int node, Ev *ev,
+static void ctrl_execute(Core *core, int node, Ev *ev,
                          i64 done);
 
-static void ctrl_schedule(Rep *rep, int node, int cost, int op, int b0,
+static void ctrl_schedule(Core *core, int node, int cost, int op, int b0,
                           int a0, int a1, i64 a2) {
-    Ctrl *c = &rep->ctrl[node];
+    Ctrl *c = &core->ctrl[node];
     Ev ev;
     ev.cost = cost;
     ev.op = op;
@@ -857,27 +864,27 @@ static void ctrl_schedule(Rep *rep, int node, int cost, int op, int b0,
     ev_push(c, ev);
     if (!c->has_cur && !c->ticking && !c->notified) {
         c->notified = 1;
-        rep->ready[rep->ready_count++] = node;
+        core->ready[core->ready_count++] = node;
     }
 }
 
-static void ctrl_tick(Batch *b, Rep *rep, int r, int node, i64 cycle) {
-    Ctrl *c = &rep->ctrl[node];
+static void ctrl_tick(Core *core, int node, i64 cycle) {
+    Ctrl *c = &core->ctrl[node];
     c->ticking = 1;
     for (;;) {
         if (c->has_cur) {
             if (c->done_at > cycle) break;
             c->has_cur = 0;
             Ev ev = c->cur;
-            ctrl_execute(b, rep, r, node, &ev, c->done_at);
-            if (b->errcode) break;
+            ctrl_execute(core, node, &ev, c->done_at);
+            if (core->errcode) break;
             continue;
         }
         if (!c->count) break;
         Ev ev = ev_pop(c);
         if (ev.cost == 0) {
-            ctrl_execute(b, rep, r, node, &ev, cycle);
-            if (b->errcode) break;
+            ctrl_execute(core, node, &ev, cycle);
+            if (core->errcode) break;
             continue;
         }
         c->done_at = cycle + ev.cost;
@@ -887,86 +894,86 @@ static void ctrl_tick(Batch *b, Rep *rep, int r, int node, i64 cycle) {
     c->ticking = 0;
 }
 
-static void do_emit(Batch *b, Rep *rep, int r, int node, int kind,
+static void do_emit(Core *core, int node, int kind,
                     int dest, int block, i64 txn) {
-    int midx = msg_new(b, kind, node, dest, block, txn);
-    ctrl_schedule(rep, node, b->send_cost, OP_LAUNCH, 0, midx, -1, 0);
+    int midx = msg_new(core, kind, node, dest, block, txn);
+    ctrl_schedule(core, node, core->send_cost, OP_LAUNCH, 0, midx, -1, 0);
 }
 
-static void do_reply_with_data(Batch *b, Rep *rep, int r, int node,
+static void do_reply_with_data(Core *core, int node,
                                int block, int requester, i64 txn) {
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(core, block);
     d->busy = 1;
     if (requester == node)
-        ctrl_schedule(rep, node, b->mem_cost, OP_FINISH, 0, 0, block, 0);
+        ctrl_schedule(core, node, core->mem_cost, OP_FINISH, 0, 0, block, 0);
     else
-        ctrl_schedule(rep, node, b->mem_cost, OP_REPLY, 0, requester, block,
-                      txn);
+        ctrl_schedule(core, node, core->mem_cost, OP_REPLY, 0, requester,
+                      block, txn);
 }
 
-static void do_run_deferred(Batch *b, Rep *rep, int r, int node, int block) {
-    Dir *d = dir_entry(b, r, block);
+static void do_run_deferred(Core *core, int node, int block) {
+    Dir *d = dir_entry(core, block);
     if (!d->dcount || d->busy) return;
     DefItem it = d->ditems[d->dhead];
     d->dhead = (d->dhead + 1) % d->dcap;
     d->dcount--;
-    ctrl_schedule(rep, node, b->req_cost, OP_DEFER, it.is_write,
+    ctrl_schedule(core, node, core->req_cost, OP_DEFER, it.is_write,
                   it.requester, block, it.txn);
 }
 
-static void do_absorb_writeback(Batch *b, Rep *rep, int r, int node,
+static void do_absorb_writeback(Core *core, int node,
                                 int block, int source, int source_retains);
-static void do_evict(Batch *b, Rep *rep, int r, int node, int block);
+static void do_evict(Core *core, int node, int block);
 
-static void do_install(Batch *b, Rep *rep, int r, int node, int block,
+static void do_install(Core *core, int node, int block,
                        int state) {
-    cache_pop(b, r, node, block);
-    cache_put(b, r, node, block, state);
-    if (b->capacity <= 0) return;
-    CacheLog *cl = &b->clog[(size_t)r * b->N + node];
-    while (cl->live > b->capacity) {
-        int victim = cache_victim(b, r, node, block);
+    cache_pop(core, node, block);
+    cache_put(core, node, block, state);
+    if (core->capacity <= 0) return;
+    CacheLog *cl = &core->clog[node];
+    while (cl->live > core->capacity) {
+        int victim = cache_victim(core, node, block);
         if (victim < 0) return;
-        do_evict(b, rep, r, node, victim);
-        if (b->errcode) return;
+        do_evict(core, node, victim);
+        if (core->errcode) return;
     }
 }
 
-static void do_evict(Batch *b, Rep *rep, int r, int node, int block) {
-    int state = cache_pop(b, r, node, block);
-    if (rep->measuring) rep->evictions++;
+static void do_evict(Core *core, int node, int block) {
+    int state = cache_pop(core, node, block);
+    if (core->measuring) core->evictions++;
     if (state != CS_MODIFIED) return;
-    int home = b->block_home[block];
+    int home = core->block_home[block];
     if (home == node) {
-        do_absorb_writeback(b, rep, r, node, block, node, 0);
-        ctrl_schedule(rep, node, b->mem_cost, OP_NOP, 0, 0, 0, 0);
+        do_absorb_writeback(core, node, block, node, 0);
+        ctrl_schedule(core, node, core->mem_cost, OP_NOP, 0, 0, 0, 0);
     } else {
-        do_emit(b, rep, r, node, K_WB, home, block, -1);
+        do_emit(core, node, K_WB, home, block, -1);
     }
 }
 
-static void do_grant_write(Batch *b, Rep *rep, int r, int node, int block,
+static void do_grant_write(Core *core, int node, int block,
                            int requester, i64 txn) {
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(core, block);
     d->state = DS_MODIFIED;
     set_reset(&d->sharers);
     d->owner = requester;
-    do_reply_with_data(b, rep, r, node, block, requester, txn);
+    do_reply_with_data(core, node, block, requester, txn);
 }
 
-static void do_home_read(Batch *b, Rep *rep, int r, int node, int block,
+static void do_home_read(Core *core, int node, int block,
                          int requester, i64 txn) {
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(core, block);
     if (d->state == DS_MODIFIED && d->owner != requester) {
         if (d->owner == node) {
-            do_install(b, rep, r, node, block, CS_SHARED);
-            d = dir_entry(b, r, block);
+            do_install(core, node, block, CS_SHARED);
+            d = dir_entry(core, block);
             d->state = DS_SHARED;
             set_reset(&d->sharers);
             set_add(&d->sharers, node);
             set_add(&d->sharers, requester);
             d->owner = -1;
-            do_reply_with_data(b, rep, r, node, block, requester, txn);
+            do_reply_with_data(core, node, block, requester, txn);
             return;
         }
         d->busy = 1;
@@ -976,7 +983,7 @@ static void do_home_read(Batch *b, Rep *rep, int r, int node, int block,
         d->txn_uid = txn;
         d->txn_pending = 0;
         d->txn_wb = 1;
-        do_emit(b, rep, r, node, K_FETCH, d->owner, block, txn);
+        do_emit(core, node, K_FETCH, d->owner, block, txn);
         return;
     }
     if (d->state == DS_MODIFIED) {
@@ -987,17 +994,17 @@ static void do_home_read(Batch *b, Rep *rep, int r, int node, int block,
     }
     d->state = DS_SHARED;
     set_add(&d->sharers, requester);
-    do_reply_with_data(b, rep, r, node, block, requester, txn);
+    do_reply_with_data(core, node, block, requester, txn);
 }
 
-static void do_home_write(Batch *b, Rep *rep, int r, int node, int block,
+static void do_home_write(Core *core, int node, int block,
                           int requester, i64 txn) {
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(core, block);
     if (d->state == DS_MODIFIED && d->owner != requester) {
         if (d->owner == node) {
-            cache_pop(b, r, node, block);
+            cache_pop(core, node, block);
             d->owner = requester;
-            do_reply_with_data(b, rep, r, node, block, requester, txn);
+            do_reply_with_data(core, node, block, requester, txn);
             return;
         }
         d->busy = 1;
@@ -1007,7 +1014,7 @@ static void do_home_write(Batch *b, Rep *rep, int r, int node, int block,
         d->txn_uid = txn;
         d->txn_pending = 0;
         d->txn_wb = 1;
-        do_emit(b, rep, r, node, K_FETCHINV, d->owner, block, txn);
+        do_emit(core, node, K_FETCHINV, d->owner, block, txn);
         return;
     }
     /* remote_sharers = {s for s in entry.sharers if s != requester} */
@@ -1018,7 +1025,7 @@ static void do_home_write(Batch *b, Rep *rep, int r, int node, int block,
         if (s >= 0 && s != requester) set_add(&rs, s);
     }
     if (set_contains(&rs, node)) {
-        cache_pop(b, r, node, block);
+        cache_pop(core, node, block);
         set_discard(&rs, node);
     }
     if (rs.used) {
@@ -1032,38 +1039,38 @@ static void do_home_write(Batch *b, Rep *rep, int r, int node, int block,
         for (i64 i = 0; i <= rs.mask; i++) {
             i64 s = rs.t[i];
             if (s >= 0)
-                do_emit(b, rep, r, node, K_INV, (int)s, block, txn);
+                do_emit(core, node, K_INV, (int)s, block, txn);
         }
         set_free(&rs);
         return;
     }
     set_free(&rs);
-    do_grant_write(b, rep, r, node, block, requester, txn);
+    do_grant_write(core, node, block, requester, txn);
 }
 
-static void do_home_handle_request(Batch *b, Rep *rep, int r, int node,
+static void do_home_handle_request(Core *core, int node,
                                    int block, int requester, int is_write,
                                    i64 txn) {
-    if (b->block_home[block] != node) {
-        fail(b, 2, "request received at a non-home node");
+    if (core->block_home[block] != node) {
+        fail(core, 2, "request received at a non-home node");
         return;
     }
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(core, block);
     if (d->busy) {
         dir_defer(d, requester, is_write, txn);
         return;
     }
     if (is_write)
-        do_home_write(b, rep, r, node, block, requester, txn);
+        do_home_write(core, node, block, requester, txn);
     else
-        do_home_read(b, rep, r, node, block, requester, txn);
+        do_home_read(core, node, block, requester, txn);
 }
 
-static void do_home_handle_ack(Batch *b, Rep *rep, int r, int node,
+static void do_home_handle_ack(Core *core, int node,
                                int block) {
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(core, block);
     if (!d->txn_active || d->txn_pending <= 0) {
-        fail(b, 2, "unexpected invalidate ack");
+        fail(core, 2, "unexpected invalidate ack");
         return;
     }
     d->txn_pending--;
@@ -1072,13 +1079,13 @@ static void do_home_handle_ack(Batch *b, Rep *rep, int r, int node,
     i64 uid = d->txn_uid;
     d->txn_active = 0;
     d->busy = 0;
-    do_grant_write(b, rep, r, node, block, requester, uid);
-    do_run_deferred(b, rep, r, node, block);
+    do_grant_write(core, node, block, requester, uid);
+    do_run_deferred(core, node, block);
 }
 
-static void do_absorb_writeback(Batch *b, Rep *rep, int r, int node,
+static void do_absorb_writeback(Core *core, int node,
                                 int block, int source, int source_retains) {
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(core, block);
     if (d->txn_active && d->txn_wb) {
         int requester = d->txn_requester;
         int is_write = d->txn_is_write;
@@ -1096,226 +1103,227 @@ static void do_absorb_writeback(Batch *b, Rep *rep, int r, int node,
             if (source_retains) set_add(&d->sharers, source);
             d->owner = -1;
         }
-        do_reply_with_data(b, rep, r, node, block, requester, uid);
-        do_run_deferred(b, rep, r, node, block);
+        do_reply_with_data(core, node, block, requester, uid);
+        do_run_deferred(core, node, block);
         return;
     }
     if (d->txn_active) {
-        fail(b, 2, "writeback collided with a non-fetch transaction");
+        fail(core, 2, "writeback collided with a non-fetch transaction");
         return;
     }
     if (d->state != DS_MODIFIED || d->owner != source) {
-        fail(b, 2, "eviction writeback does not match directory state");
+        fail(core, 2, "eviction writeback does not match directory state");
         return;
     }
     d->state = DS_UNOWNED;
     set_reset(&d->sharers);
     d->owner = -1;
-    do_run_deferred(b, rep, r, node, block);
+    do_run_deferred(core, node, block);
 }
 
-static void do_handle_fetch(Batch *b, Rep *rep, int r, int node, int block,
+static void do_handle_fetch(Core *core, int node, int block,
                             int source, i64 txn, int invalidate) {
-    int state = cache_get(b, r, node, block);
+    int state = cache_get(core, node, block);
     if (state == CS_INVALID) return;
     if (state != CS_MODIFIED) {
-        fail(b, 2, "fetch for a block not in M state");
+        fail(core, 2, "fetch for a block not in M state");
         return;
     }
     if (invalidate)
-        cache_pop(b, r, node, block);
+        cache_pop(core, node, block);
     else
-        do_install(b, rep, r, node, block, CS_SHARED);
-    do_emit(b, rep, r, node, K_WB, source, block, txn);
+        do_install(core, node, block, CS_SHARED);
+    do_emit(core, node, K_WB, source, block, txn);
 }
 
-static void do_release_waiters(Batch *b, Rep *rep, int r, int node,
+static void do_release_waiters(Core *core, int node,
                                int block, int whead, int state, i64 cycle);
-static void request_internal(Batch *b, Rep *rep, int r, int node, int block,
+static void request_internal(Core *core, int node, int block,
                              int is_write, i64 cycle, i64 handle);
 
-static void do_complete_remote_miss(Batch *b, Rep *rep, int r, int node,
+static void do_complete_remote_miss(Core *core, int node,
                                     int block, i64 cycle) {
-    int ridx = OUTST(b, block, r, node);
+    int ridx = OUTST(core, block, node);
     if (ridx < 0) {
-        fail(b, 2, "data reply with no outstanding request");
+        fail(core, 2, "data reply with no outstanding request");
         return;
     }
-    OUTST(b, block, r, node) = -1;
-    Req *req = &b->reqs[ridx];
+    OUTST(core, block, node) = -1;
+    Req *req = &core->reqs[ridx];
     int state = req->is_write ? CS_MODIFIED : CS_SHARED;
-    do_install(b, rep, r, node, block, state);
-    if (rep->measuring) {
-        rep->rcompleted++;
-        rep->txn_lat += cycle - req->issued_at;
+    do_install(core, node, block, state);
+    if (core->measuring) {
+        core->rcompleted++;
+        core->txn_lat += cycle - req->issued_at;
     }
-    comp_push(rep, req->handle, cycle);
+    comp_push(core, req->handle, cycle);
     int whead = req->whead;
     req->whead = -1;
     req->wtail = -1;
-    do_release_waiters(b, rep, r, node, block, whead, state, cycle);
-    req_del(b, ridx);
+    do_release_waiters(core, node, block, whead, state, cycle);
+    req_del(core, ridx);
 }
 
-static void do_finish_local(Batch *b, Rep *rep, int r, int node, int block,
+static void do_finish_local(Core *core, int node, int block,
                             i64 cycle) {
-    int ridx = OUTST(b, block, r, node);
+    int ridx = OUTST(core, block, node);
     if (ridx < 0) {
-        fail(b, 2, "local completion with no outstanding request");
+        fail(core, 2, "local completion with no outstanding request");
         return;
     }
-    OUTST(b, block, r, node) = -1;
-    Req *req = &b->reqs[ridx];
+    OUTST(core, block, node) = -1;
+    Req *req = &core->reqs[ridx];
     int state = req->is_write ? CS_MODIFIED : CS_SHARED;
-    do_install(b, rep, r, node, block, state);
-    Dir *d = dir_entry(b, r, block);
+    do_install(core, node, block, state);
+    Dir *d = dir_entry(core, block);
     d->busy = 0;
     int remote = req->messages > 0;
-    if (rep->measuring) {
+    if (core->measuring) {
         if (remote) {
-            rep->rcompleted++;
-            rep->txn_lat += cycle - req->issued_at;
+            core->rcompleted++;
+            core->txn_lat += cycle - req->issued_at;
         } else {
-            rep->lcompleted++;
+            core->lcompleted++;
         }
     }
-    comp_push(rep, req->handle, cycle);
+    comp_push(core, req->handle, cycle);
     int whead = req->whead;
     req->whead = -1;
     req->wtail = -1;
-    do_run_deferred(b, rep, r, node, block);
-    do_release_waiters(b, rep, r, node, block, whead, state, cycle);
-    req_del(b, ridx);
+    do_run_deferred(core, node, block);
+    do_release_waiters(core, node, block, whead, state, cycle);
+    req_del(core, ridx);
 }
 
-static void do_release_waiters(Batch *b, Rep *rep, int r, int node,
+static void do_release_waiters(Core *core, int node,
                                int block, int whead, int state, i64 cycle) {
     int w = whead;
     while (w >= 0) {
-        Waiter wt = b->waiters[w];
+        Waiter wt = core->waiters[w];
         if (wt.is_write && state != CS_MODIFIED)
-            request_internal(b, rep, r, node, block, 1, cycle, wt.handle);
+            request_internal(core, node, block, 1, cycle, wt.handle);
         else
-            comp_push(rep, wt.handle, cycle);
+            comp_push(core, wt.handle, cycle);
         int nxt = wt.next;
-        b->waiters[w].next = b->waiter_free;
-        b->waiter_free = w;
+        core->waiters[w].next = core->waiter_free;
+        core->waiter_free = w;
         w = nxt;
     }
 }
 
-static void request_internal(Batch *b, Rep *rep, int r, int node, int block,
+static void request_internal(Core *core, int node, int block,
                              int is_write, i64 cycle, i64 handle) {
-    int existing = OUTST(b, block, r, node);
+    int existing = OUTST(core, block, node);
     if (existing >= 0) {
-        req_add_waiter(b, existing, is_write, handle);
+        req_add_waiter(core, existing, is_write, handle);
         return;
     }
-    Ctrl *c = &rep->ctrl[node];
+    Ctrl *c = &core->ctrl[node];
     i64 uid = c->next_uid;
     c->next_uid = uid + UID_STRIDE;
-    int ridx = req_new(b, block, is_write, cycle, uid, handle);
-    OUTST(b, block, r, node) = ridx;
-    if (rep->measuring) rep->started++;
-    ctrl_schedule(rep, node, b->req_cost, OP_BEGIN, 0, ridx, 0, 0);
+    int ridx = req_new(core, block, is_write, cycle, uid, handle);
+    OUTST(core, block, node) = ridx;
+    if (core->measuring) core->started++;
+    ctrl_schedule(core, node, core->req_cost, OP_BEGIN, 0, ridx, 0, 0);
 }
 
-static void do_launch(Batch *b, Rep *rep, int r, int node, int midx,
+static void do_launch(Core *core, int node, int midx,
                       i64 cycle) {
-    Msg *m = &b->msgs[midx];
-    int ridx = OUTST(b, m->block, r, node);
-    if (ridx >= 0 && b->reqs[ridx].uid == m->txn) b->reqs[ridx].messages++;
-    if (rep->measuring) {
-        rep->sent++;
-        rep->flits_sum += m->flits;
-        rep->flits_sq += (i64)m->flits * m->flits;
-        rep->per_node_sent[node]++;
+    Msg *m = &core->msgs[midx];
+    int ridx = OUTST(core, m->block, node);
+    if (ridx >= 0 && core->reqs[ridx].uid == m->txn)
+        core->reqs[ridx].messages++;
+    if (core->measuring) {
+        core->sent++;
+        core->flits_sum += m->flits;
+        core->flits_sq += (i64)m->flits * m->flits;
+        core->per_node_sent[node]++;
     }
     if (m->dest == node) {
-        fail(b, 1, "self-addressed message; local transactions must "
+        fail(core, 1, "self-addressed message; local transactions must "
                    "complete without the network");
         return;
     }
-    fab_inject(b, rep, midx, cycle);
+    fab_inject(core, midx, cycle);
 }
 
-static void do_handle(Batch *b, Rep *rep, int r, int node, int midx,
+static void do_handle(Core *core, int node, int midx,
                       i64 cycle) {
-    Msg *m = &b->msgs[midx];
+    Msg *m = &core->msgs[midx];
     int kind = m->kind, block = m->block, source = m->source;
     i64 txn = m->txn;
-    msg_del(b, midx);
+    msg_del(core, midx);
     switch (kind) {
     case K_READ:
-        do_home_handle_request(b, rep, r, node, block, source, 0, txn);
+        do_home_handle_request(core, node, block, source, 0, txn);
         break;
     case K_DATA:
-        do_complete_remote_miss(b, rep, r, node, block, cycle);
+        do_complete_remote_miss(core, node, block, cycle);
         break;
     case K_WRITE:
-        do_home_handle_request(b, rep, r, node, block, source, 1, txn);
+        do_home_handle_request(core, node, block, source, 1, txn);
         break;
     case K_INV:
-        cache_pop(b, r, node, block);
-        do_emit(b, rep, r, node, K_ACK, source, block, txn);
+        cache_pop(core, node, block);
+        do_emit(core, node, K_ACK, source, block, txn);
         break;
     case K_ACK:
-        do_home_handle_ack(b, rep, r, node, block);
+        do_home_handle_ack(core, node, block);
         break;
     case K_FETCH:
-        do_handle_fetch(b, rep, r, node, block, source, txn, 0);
+        do_handle_fetch(core, node, block, source, txn, 0);
         break;
     case K_FETCHINV:
-        do_handle_fetch(b, rep, r, node, block, source, txn, 1);
+        do_handle_fetch(core, node, block, source, txn, 1);
         break;
     case K_WB:
-        do_absorb_writeback(b, rep, r, node, block, source, txn != -1);
+        do_absorb_writeback(core, node, block, source, txn != -1);
         break;
     default:
-        fail(b, 2, "unhandled message kind");
+        fail(core, 2, "unhandled message kind");
     }
 }
 
-static void ctrl_execute(Batch *b, Rep *rep, int r, int node, Ev *ev,
+static void ctrl_execute(Core *core, int node, Ev *ev,
                          i64 done) {
     switch (ev->op) {
     case OP_HANDLE:
-        do_handle(b, rep, r, node, ev->a0, done);
+        do_handle(core, node, ev->a0, done);
         break;
     case OP_LAUNCH:
-        do_launch(b, rep, r, node, ev->a0, done);
+        do_launch(core, node, ev->a0, done);
         if (ev->a1 >= 0) {
-            Dir *d = dir_entry(b, r, ev->a1);
+            Dir *d = dir_entry(core, ev->a1);
             d->busy = 0;
-            do_run_deferred(b, rep, r, node, ev->a1);
+            do_run_deferred(core, node, ev->a1);
         }
         break;
     case OP_REPLY: {
-        int midx = msg_new(b, K_DATA, node, ev->a0, ev->a1, ev->a2);
-        ctrl_schedule(rep, node, b->send_cost, OP_LAUNCH, 0, midx, ev->a1,
+        int midx = msg_new(core, K_DATA, node, ev->a0, ev->a1, ev->a2);
+        ctrl_schedule(core, node, core->send_cost, OP_LAUNCH, 0, midx, ev->a1,
                       0);
         break;
     }
     case OP_FINISH:
-        do_finish_local(b, rep, r, node, ev->a1, done);
+        do_finish_local(core, node, ev->a1, done);
         break;
     case OP_BEGIN: {
-        Req *req = &b->reqs[ev->a0];
+        Req *req = &core->reqs[ev->a0];
         int block = req->block;
-        int home = b->block_home[block];
+        int home = core->block_home[block];
         if (home == node) {
-            do_home_handle_request(b, rep, r, node, block, node,
+            do_home_handle_request(core, node, block, node,
                                    req->is_write, req->uid);
         } else {
-            do_emit(b, rep, r, node, req->is_write ? K_WRITE : K_READ, home,
+            do_emit(core, node, req->is_write ? K_WRITE : K_READ, home,
                     block, req->uid);
         }
         break;
     }
     case OP_DEFER:
-        do_home_handle_request(b, rep, r, node, ev->a1, ev->a0, ev->b0,
+        do_home_handle_request(core, node, ev->a1, ev->a0, ev->b0,
                                ev->a2);
-        do_run_deferred(b, rep, r, node, ev->a1);
+        do_run_deferred(core, node, ev->a1);
         break;
     case OP_NOP:
         break;
@@ -1326,30 +1334,30 @@ static void ctrl_execute(Batch *b, Rep *rep, int r, int node, Ev *ev,
 /* Fabric tick (port of CutThroughFabric.tick; telemetry-free path).   */
 /* ------------------------------------------------------------------ */
 
-static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
-    Fab *f = &rep->fab;
+static void fab_tick(Core *core, i64 cycle) {
+    Fab *f = &core->fab;
     /* Deliveries first: heap keyed (cycle, seq) reproduces the serial
      * per-cycle insertion-order arrival lists. */
     while (f->dcount && (i64)(f->dheap[0].key >> 32) == cycle) {
         DHEnt e = dheap_pop(f);
-        Transit *t = &b->transits[e.transit];
-        Msg *m = &b->msgs[t->msg];
+        Transit *t = &core->transits[e.transit];
+        Msg *m = &core->msgs[t->msg];
         i64 latency = cycle - m->injected_at;
         f->in_flight--;
-        if (rep->measuring) {
-            rep->delivered++;
-            rep->lat_total += latency;
+        if (core->measuring) {
+            core->delivered++;
+            core->lat_total += latency;
             int hops = t->route_len - 2;
-            rep->hops_total += hops;
+            core->hops_total += hops;
             if (hops > 0) {
                 i64 head = latency - m->flits - t->wait;
-                rep->hopl_total += (double)head / (double)hops;
-                rep->hopl_count++;
+                core->hopl_total += (double)head / (double)hops;
+                core->hopl_count++;
             }
         }
-        ctrl_schedule(rep, m->dest, b->recv_cost, OP_HANDLE, 0, t->msg, -1,
+        ctrl_schedule(core, m->dest, core->recv_cost, OP_HANDLE, 0, t->msg, -1,
                       0);
-        transit_del(b, e.transit);
+        transit_del(core, e.transit);
     }
     if (!f->pcount) return;
     int *pending = f->pending;
@@ -1365,8 +1373,8 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
         Queue *q = &f->queues[ch];
         int tidx = qe_pop(q).transit;
         f->head_elig[ch] = q->count ? q->q[q->head].elig : NEVER;
-        Transit *t = &b->transits[tidx];
-        Msg *m = &b->msgs[t->msg];
+        Transit *t = &core->transits[tidx];
+        Msg *m = &core->msgs[t->msg];
         int flits = m->flits;
         i64 until = cycle + flits;
         f->free_at[ch] = until;
@@ -1374,7 +1382,7 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
         if (hop == 0) {
             t->wait = cycle - m->injected_at;
         } else {
-            int link = ch - 2 * b->N;
+            int link = ch - 2 * core->N;
             if (link >= 0) f->link_flits[link] += flits;
         }
         hop++;
@@ -1383,7 +1391,7 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
             dheap_push(f, ((u64)until << 32) | (f->dseq++ & 0xffffffffULL),
                        tidx);
         } else {
-            int nxt = b->arena[t->route_off + hop];
+            int nxt = core->arena[t->route_off + hop];
             Queue *nq = &f->queues[nxt];
             if (!nq->count) {
                 newp[nn++] = nxt;
@@ -1400,60 +1408,59 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
 
 /* ------------------------------------------------------------------ */
 /* Advance loop (ctrl phase + fabric phase + quiescence jump).         */
-/* Processes cycles in [rep->cycle, stop); returns early with          */
+/* Processes cycles in [core->cycle, stop); returns early with       */
 /* cycle + 1 as soon as a cycle produced completions so Python can     */
 /* run the callbacks and recompute the next processor boundary.        */
 /* ------------------------------------------------------------------ */
 
-i64 bc_advance(Batch *b, int r, i64 stop) {
-    Rep *rep = &b->reps[r];
-    i64 cycle = rep->cycle;
+i64 bc_advance(Core *core, i64 stop) {
+    i64 cycle = core->cycle;
     while (cycle < stop) {
         /* ctrl phase: wake-heap dues + ready list, ascending node */
         int bn = 0;
-        int *batch = rep->batch;
-        while (rep->wcount && (i64)(rep->wake[0] >> 20) == cycle)
-            batch[bn++] = (int)(wheap_pop(rep) & 0xFFFFF);
-        if (rep->ready_count) {
-            memcpy(batch + bn, rep->ready,
-                   (size_t)rep->ready_count * sizeof(int));
-            bn += rep->ready_count;
-            rep->ready_count = 0;
+        int *due = core->scratch;
+        while (core->wcount && (i64)(core->wake[0] >> 20) == cycle)
+            due[bn++] = (int)(wheap_pop(core) & 0xFFFFF);
+        if (core->ready_count) {
+            memcpy(due + bn, core->ready,
+                   (size_t)core->ready_count * sizeof(int));
+            bn += core->ready_count;
+            core->ready_count = 0;
         }
         if (bn) {
             if (bn > 1) {
                 for (int i = 1; i < bn; i++) {  /* insertion sort */
-                    int v = batch[i], j = i - 1;
-                    while (j >= 0 && batch[j] > v) {
-                        batch[j + 1] = batch[j];
+                    int v = due[i], j = i - 1;
+                    while (j >= 0 && due[j] > v) {
+                        due[j + 1] = due[j];
                         j--;
                     }
-                    batch[j + 1] = v;
+                    due[j + 1] = v;
                 }
             }
             for (int i = 0; i < bn; i++) {
-                int node = batch[i];
-                Ctrl *c = &rep->ctrl[node];
+                int node = due[i];
+                Ctrl *c = &core->ctrl[node];
                 c->notified = 0;
-                ctrl_tick(b, rep, r, node, cycle);
-                if (b->errcode) return -1;
+                ctrl_tick(core, node, cycle);
+                if (core->errcode) return -1;
                 if (c->has_cur)
-                    wheap_push(rep, ((u64)c->done_at << 20) | (u64)node);
+                    wheap_push(core, ((u64)c->done_at << 20) | (u64)node);
             }
         }
-        fab_tick(b, rep, r, cycle);
-        if (b->errcode) return -1;
-        if (rep->comp_count) {
-            rep->cycle = cycle + 1;
+        fab_tick(core, cycle);
+        if (core->errcode) return -1;
+        if (core->comp_count) {
+            core->cycle = cycle + 1;
             return cycle + 1;
         }
         i64 nxt = cycle + 1;
-        if (!rep->ready_count) {
-            i64 horizon = fab_next(b, rep, nxt);
+        if (!core->ready_count) {
+            i64 horizon = fab_next(core, nxt);
             if (horizon < 0 || horizon > nxt) {
                 i64 target = stop;
-                if (rep->wcount) {
-                    i64 wt = (i64)(rep->wake[0] >> 20);
+                if (core->wcount) {
+                    i64 wt = (i64)(core->wake[0] >> 20);
                     if (wt < target) target = wt;
                 }
                 if (horizon >= 0 && horizon < target) target = horizon;
@@ -1462,7 +1469,7 @@ i64 bc_advance(Batch *b, int r, i64 stop) {
         }
         cycle = nxt;
     }
-    rep->cycle = stop;
+    core->cycle = stop;
     return stop;
 }
 
@@ -1470,173 +1477,155 @@ i64 bc_advance(Batch *b, int r, i64 stop) {
 /* Public API.                                                         */
 /* ------------------------------------------------------------------ */
 
-Batch *bc_create(int R, int N, int dims, int radix, int capacity,
-                 int req_cost, int recv_cost, int send_cost, int mem_cost) {
+Core *bc_create(int N, int dims, int radix, int capacity, int req_cost,
+                int recv_cost, int send_cost, int mem_cost) {
     if (N >= (1 << 20) || dims > 8 || dims * radix > 62) return NULL;
-    Batch *b = (Batch *)calloc(1, sizeof(Batch));
-    b->R = R;
-    b->N = N;
-    b->dims = dims;
-    b->radix = radix;
-    b->capacity = capacity;
-    b->req_cost = req_cost;
-    b->recv_cost = recv_cost;
-    b->send_cost = send_cost;
-    b->mem_cost = mem_cost;
-    b->RN = (i64)R * N;
-    b->channels = 2 * N + 2 * N * dims;
-    b->links = 2 * N * dims;
-    b->msg_free = -1;
-    b->transit_free = -1;
-    b->req_free = -1;
-    b->waiter_free = -1;
-    b->route_rows = (int **)calloc((size_t)N, sizeof(int *));
-    b->pow_radix = (int *)malloc((size_t)dims * sizeof(int));
+    Core *core = (Core *)calloc(1, sizeof(Core));
+    core->N = N;
+    core->dims = dims;
+    core->radix = radix;
+    core->capacity = capacity;
+    core->req_cost = req_cost;
+    core->recv_cost = recv_cost;
+    core->send_cost = send_cost;
+    core->mem_cost = mem_cost;
+    core->channels = 2 * N + 2 * N * dims;
+    core->links = 2 * N * dims;
+    core->msg_free = -1;
+    core->transit_free = -1;
+    core->req_free = -1;
+    core->waiter_free = -1;
+    core->route_rows = (int **)calloc((size_t)N, sizeof(int *));
+    core->pow_radix = (int *)malloc((size_t)dims * sizeof(int));
     int p = 1;
-    for (int d = 0; d < dims; d++) { b->pow_radix[d] = p; p *= radix; }
-    b->clog = (CacheLog *)calloc((size_t)R * N, sizeof(CacheLog));
-    b->reps = (Rep *)calloc((size_t)R, sizeof(Rep));
-    for (int r = 0; r < R; r++) {
-        Rep *rep = &b->reps[r];
-        rep->ctrl = (Ctrl *)calloc((size_t)N, sizeof(Ctrl));
-        for (int i = 0; i < N; i++) rep->ctrl[i].next_uid = i;
-        rep->ready = (int *)malloc((size_t)N * sizeof(int));
-        rep->batch = (int *)malloc((size_t)2 * N * sizeof(int));
-        rep->per_node_sent = (i64 *)calloc((size_t)N, sizeof(i64));
-        Fab *f = &rep->fab;
-        f->free_at = (i64 *)calloc((size_t)b->channels, sizeof(i64));
-        f->head_elig = (i64 *)malloc((size_t)b->channels * sizeof(i64));
-        for (int c = 0; c < b->channels; c++) f->head_elig[c] = NEVER;
-        f->queues = (Queue *)calloc((size_t)b->channels, sizeof(Queue));
-        f->pending = (int *)malloc((size_t)b->channels * sizeof(int));
-        f->pend2 = (int *)malloc((size_t)b->channels * sizeof(int));
-        f->link_flits = (i64 *)calloc((size_t)b->links, sizeof(i64));
-    }
-    return b;
+    for (int d = 0; d < dims; d++) { core->pow_radix[d] = p; p *= radix; }
+    core->clog = (CacheLog *)calloc((size_t)N, sizeof(CacheLog));
+    core->ctrl = (Ctrl *)calloc((size_t)N, sizeof(Ctrl));
+    for (int i = 0; i < N; i++) core->ctrl[i].next_uid = i;
+    core->ready = (int *)malloc((size_t)N * sizeof(int));
+    core->scratch = (int *)malloc((size_t)2 * N * sizeof(int));
+    core->per_node_sent = (i64 *)calloc((size_t)N, sizeof(i64));
+    Fab *f = &core->fab;
+    f->free_at = (i64 *)calloc((size_t)core->channels, sizeof(i64));
+    f->head_elig = (i64 *)malloc((size_t)core->channels * sizeof(i64));
+    for (int c = 0; c < core->channels; c++) f->head_elig[c] = NEVER;
+    f->queues = (Queue *)calloc((size_t)core->channels, sizeof(Queue));
+    f->pending = (int *)malloc((size_t)core->channels * sizeof(int));
+    f->pend2 = (int *)malloc((size_t)core->channels * sizeof(int));
+    f->link_flits = (i64 *)calloc((size_t)core->links, sizeof(i64));
+    return core;
 }
 
-void bc_destroy(Batch *b) {
-    if (b == NULL) return;
-    for (int r = 0; r < b->R; r++) {
-        Rep *rep = &b->reps[r];
-        for (int i = 0; i < b->N; i++) free(rep->ctrl[i].q);
-        free(rep->ctrl);
-        free(rep->ready);
-        free(rep->batch);
-        free(rep->per_node_sent);
-        free(rep->wake);
-        free(rep->comp);
-        Fab *f = &rep->fab;
-        for (int c = 0; c < b->channels; c++) free(f->queues[c].q);
-        free(f->queues);
-        free(f->free_at);
-        free(f->head_elig);
-        free(f->pending);
-        free(f->pend2);
-        free(f->link_flits);
-        free(f->dheap);
-    }
-    free(b->reps);
-    for (int i = 0; i < b->nblocks * b->R; i++) {
-        if (b->dir[i].init) {
-            set_free(&b->dir[i].sharers);
-            free(b->dir[i].ditems);
+void bc_destroy(Core *core) {
+    if (core == NULL) return;
+    for (int i = 0; i < core->N; i++) free(core->ctrl[i].q);
+    free(core->ctrl);
+    free(core->ready);
+    free(core->scratch);
+    free(core->per_node_sent);
+    free(core->wake);
+    free(core->comp);
+    Fab *f = &core->fab;
+    for (int c = 0; c < core->channels; c++) free(f->queues[c].q);
+    free(f->queues);
+    free(f->free_at);
+    free(f->head_elig);
+    free(f->pending);
+    free(f->pend2);
+    free(f->link_flits);
+    free(f->dheap);
+    for (int i = 0; i < core->nblocks; i++) {
+        if (core->dir[i].init) {
+            set_free(&core->dir[i].sharers);
+            free(core->dir[i].ditems);
         }
     }
-    free(b->dir);
-    for (int i = 0; i < b->R * b->N; i++) free(b->clog[i].items);
-    free(b->clog);
-    for (int i = 0; i < b->N; i++) free(b->route_rows[i]);
-    free(b->route_rows);
-    free(b->arena);
-    free(b->pow_radix);
-    free(b->block_home);
-    free(b->cache_state);
-    free(b->cache_seq);
-    free(b->outstanding);
-    free(b->msgs);
-    free(b->transits);
-    free(b->reqs);
-    free(b->waiters);
-    free(b);
+    free(core->dir);
+    for (int i = 0; i < core->N; i++) free(core->clog[i].items);
+    free(core->clog);
+    for (int i = 0; i < core->N; i++) free(core->route_rows[i]);
+    free(core->route_rows);
+    free(core->arena);
+    free(core->pow_radix);
+    free(core->block_home);
+    free(core->cache_state);
+    free(core->cache_seq);
+    free(core->outstanding);
+    free(core->msgs);
+    free(core->transits);
+    free(core->reqs);
+    free(core->waiters);
+    free(core);
 }
 
-int bc_add_block(Batch *b, int home) {
-    if (b->nblocks >= b->blocks_cap) {
-        int old = b->blocks_cap;
-        b->blocks_cap = old ? old * 2 : 64;
-        b->block_home = (int *)realloc(
-            b->block_home, (size_t)b->blocks_cap * sizeof(int));
-        b->cache_state = (int8_t *)realloc(
-            b->cache_state, (size_t)b->blocks_cap * b->RN);
-        b->cache_seq = (int *)realloc(
-            b->cache_seq, (size_t)b->blocks_cap * b->RN * sizeof(int));
-        b->outstanding = (int *)realloc(
-            b->outstanding, (size_t)b->blocks_cap * b->RN * sizeof(int));
-        b->dir = (Dir *)realloc(
-            b->dir, (size_t)b->blocks_cap * b->R * sizeof(Dir));
+int bc_add_block(Core *core, int home) {
+    size_t N = (size_t)core->N;
+    if (core->nblocks >= core->blocks_cap) {
+        int old = core->blocks_cap;
+        core->blocks_cap = old ? old * 2 : 64;
+        size_t cap = (size_t)core->blocks_cap;
+        core->block_home = (int *)realloc(core->block_home, cap * sizeof(int));
+        core->cache_state = (int8_t *)realloc(core->cache_state, cap * N);
+        core->cache_seq = (int *)realloc(core->cache_seq,
+                                         cap * N * sizeof(int));
+        core->outstanding = (int *)realloc(
+            core->outstanding, cap * N * sizeof(int));
+        core->dir = (Dir *)realloc(core->dir, cap * sizeof(Dir));
     }
-    int blk = b->nblocks++;
-    b->block_home[blk] = home;
-    memset(b->cache_state + (size_t)blk * b->RN, 0, (size_t)b->RN);
-    memset(b->cache_seq + (size_t)blk * b->RN, 0,
-           (size_t)b->RN * sizeof(int));
-    for (i64 i = 0; i < b->RN; i++)
-        b->outstanding[(size_t)blk * b->RN + i] = -1;
-    memset(b->dir + (size_t)blk * b->R, 0, (size_t)b->R * sizeof(Dir));
+    int blk = core->nblocks++;
+    core->block_home[blk] = home;
+    memset(core->cache_state + (size_t)blk * N, 0, N);
+    memset(core->cache_seq + (size_t)blk * N, 0, N * sizeof(int));
+    for (size_t i = 0; i < N; i++) core->outstanding[(size_t)blk * N + i] = -1;
+    memset(core->dir + blk, 0, sizeof(Dir));
     return blk;
 }
 
-void bc_request(Batch *b, int r, int node, int block, int is_write,
+void bc_request(Core *core, int node, int block, int is_write,
                 i64 cycle, i64 handle) {
-    request_internal(b, &b->reps[r], r, node, block, is_write, cycle,
-                     handle);
+    request_internal(core, node, block, is_write, cycle, handle);
 }
 
-i64 bc_cycle(Batch *b, int r) { return b->reps[r].cycle; }
+int bc_comp_count(Core *core) { return core->comp_count; }
+i64 *bc_comp_ptr(Core *core) { return core->comp; }
+void bc_comp_clear(Core *core) { core->comp_count = 0; }
 
-int bc_comp_count(Batch *b, int r) { return b->reps[r].comp_count; }
-i64 *bc_comp_ptr(Batch *b, int r) { return b->reps[r].comp; }
-void bc_comp_clear(Batch *b, int r) { b->reps[r].comp_count = 0; }
-
-void bc_start_measuring(Batch *b, int r) {
-    Rep *rep = &b->reps[r];
-    rep->measuring = 1;
-    rep->sent = rep->flits_sum = rep->flits_sq = 0;
-    rep->delivered = rep->lat_total = rep->hops_total = 0;
-    rep->hopl_count = rep->started = 0;
-    rep->rcompleted = rep->lcompleted = rep->txn_lat = rep->evictions = 0;
-    rep->hopl_total = 0.0;
-    memset(rep->per_node_sent, 0, (size_t)b->N * sizeof(i64));
+void bc_start_measuring(Core *core) {
+    core->measuring = 1;
+    core->sent = core->flits_sum = core->flits_sq = 0;
+    core->delivered = core->lat_total = core->hops_total = 0;
+    core->hopl_count = core->started = 0;
+    core->rcompleted = core->lcompleted = core->txn_lat = core->evictions = 0;
+    core->hopl_total = 0.0;
+    memset(core->per_node_sent, 0, (size_t)core->N * sizeof(i64));
 }
 
-void bc_get_counters(Batch *b, int r, i64 *out_i, double *out_d) {
-    Rep *rep = &b->reps[r];
-    out_i[0] = rep->sent;
-    out_i[1] = rep->flits_sum;
-    out_i[2] = rep->flits_sq;
-    out_i[3] = rep->delivered;
-    out_i[4] = rep->lat_total;
-    out_i[5] = rep->hops_total;
-    out_i[6] = rep->hopl_count;
-    out_i[7] = rep->started;
-    out_i[8] = rep->rcompleted;
-    out_i[9] = rep->lcompleted;
-    out_i[10] = rep->txn_lat;
-    out_i[11] = rep->evictions;
-    out_d[0] = rep->hopl_total;
+void bc_get_counters(Core *core, i64 *out_i, double *out_d) {
+    out_i[0] = core->sent;
+    out_i[1] = core->flits_sum;
+    out_i[2] = core->flits_sq;
+    out_i[3] = core->delivered;
+    out_i[4] = core->lat_total;
+    out_i[5] = core->hops_total;
+    out_i[6] = core->hopl_count;
+    out_i[7] = core->started;
+    out_i[8] = core->rcompleted;
+    out_i[9] = core->lcompleted;
+    out_i[10] = core->txn_lat;
+    out_i[11] = core->evictions;
+    out_d[0] = core->hopl_total;
 }
 
-void bc_get_link_flits(Batch *b, int r, i64 *out) {
-    memcpy(out, b->reps[r].fab.link_flits,
-           (size_t)b->links * sizeof(i64));
+void bc_get_link_flits(Core *core, i64 *out) {
+    memcpy(out, core->fab.link_flits,
+           (size_t)core->links * sizeof(i64));
 }
 
-void bc_get_per_node_sent(Batch *b, int r, i64 *out) {
-    memcpy(out, b->reps[r].per_node_sent, (size_t)b->N * sizeof(i64));
+void bc_get_per_node_sent(Core *core, i64 *out) {
+    memcpy(out, core->per_node_sent, (size_t)core->N * sizeof(i64));
 }
 
-i64 bc_in_flight(Batch *b, int r) { return b->reps[r].fab.in_flight; }
+i64 bc_in_flight(Core *core) { return core->fab.in_flight; }
 
-int bc_errcode(Batch *b) { return b->errcode; }
-const char *bc_errmsg(Batch *b) { return b->errmsg; }
+int bc_errcode(Core *core) { return core->errcode; }
+const char *bc_errmsg(Core *core) { return core->errmsg; }

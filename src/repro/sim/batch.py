@@ -1,39 +1,33 @@
-"""Lockstep replication on the compiled core: R seeds, one merged calendar.
+"""Single machines on the compiled core, and seeded runs of one config.
 
-Replication campaigns (:func:`repro.sim.replicate.run_replications`) run
-the same machine configuration under many root seeds.  :func:`run_batch`
-runs ``R`` of them *together* through :class:`BatchMachine`: the
-coherence controllers, the cut-through fabric and the per-cycle loop run
-inside the compiled core (:mod:`repro.sim.batchcore`, a port of
-:mod:`repro.sim.coherence` and :mod:`repro.sim.cut_through`), one lane
-per seed, while Python keeps the processors — their RNG draw order
-defines bit-exactness.  The same driver serves single
-:meth:`repro.sim.machine.Machine.run` calls as a one-lane batch
-(:meth:`BatchMachine.adopt`).
+:class:`CoreDriver` runs one fresh :class:`~repro.sim.machine.Machine`
+on the compiled core (:mod:`repro.sim.batchcore`, a port of
+:mod:`repro.sim.coherence` and :mod:`repro.sim.cut_through`): the
+coherence controllers, the cut-through fabric and the per-cycle loop
+run in C, while Python keeps the machine's own processors — their RNG
+draw order defines bit-exactness.  :meth:`Machine.run` builds the
+driver whenever :func:`repro.sim.batchcore.select_core` says the core
+can serve the run; nothing else does.
 
-A batch the core cannot serve — wormhole switching, telemetry attached,
-no compiler or cffi (:func:`repro.sim.batchcore.select_core` decides) —
-runs as serial Python-spec runs instead, one
-``Machine(config.with_seed(seed), mapping, programs, engine=True)`` per
-seed.
+:func:`run_batch` runs one configuration under several root seeds, one
+``Machine(config.with_seed(seed), mapping, programs)`` per seed; each
+machine picks its own engine.
 
-**Bit-exactness contract.**  The serial Python spec is the oracle: for
-every seed, the batched run's :class:`~repro.sim.stats.MeasurementSummary`
-is identical to ``Machine(config.with_seed(seed), ..., engine=True)
-.run()``.  The ingredients:
+**Bit-exactness contract.**  The Python event calendar
+(``Machine(..., engine=True)``) is the oracle: a core run's
+:class:`~repro.sim.stats.MeasurementSummary` is identical to it.  The
+ingredients:
 
-* **RNG streams.**  Lane ``r`` spawns its per-node streams as
-  ``SeedSequence(seeds[r]).spawn(nodes)`` — exactly what a solo
-  :class:`~repro.sim.machine.Machine` does — and the unmodified
-  :class:`~repro.sim.processor.Processor` is reused per (lane, node), so
-  draw order per lane is identical to a solo run by construction.
-* **Event order.**  The driver ports :class:`~repro.sim.engine
-  .MachineEngine`'s per-cycle body (processor boundary batches in
-  ascending node order; the core runs controllers sorted by node, then
-  the fabric tick) and applies its quiescence fast-forward *per lane*:
-  the merged calendar holds one ``(next_cycle, lane)`` entry per lane,
-  so a quiescent lane is skipped to its next event while a busy one is
-  stepped — the batch advances by the minimum wake across the batch.
+* **Processors.**  The driver keeps the machine's processors, built by
+  ``Machine`` exactly as for a Python run (programs placed, per-node
+  RNG streams spawned from the seed), and swaps only their controller
+  for a proxy into the core.
+* **Event order.**  :class:`CoreDriver` is a
+  :class:`~repro.sim.engine.MachineEngine`: the same wake calendar and
+  processor-boundary visit (ascending node order) drive the
+  processors, and ``bc_advance`` runs controllers sorted by node, then
+  the fabric tick, between two processor boundaries, skipping
+  quiescent cycles with the calendar's guards.
 * **Protocol and fabric order.**  The core executes the same protocol
   events at the same occupancy boundaries in the same FIFO order as
   :class:`~repro.sim.coherence.CoherenceController`, and replicates
@@ -44,277 +38,148 @@ is identical to ``Machine(config.with_seed(seed), ..., engine=True)
 from __future__ import annotations
 
 import copy
-from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro import obs
 from repro.errors import ParameterError, SimulationError
 from repro.mapping.base import Mapping
 from repro.sim import batchcore
 from repro.sim.config import SimulationConfig
 from repro.sim.cut_through import enumerate_channels
-from repro.sim.machine import Machine, place_programs
-from repro.sim.processor import Processor
-from repro.sim.stats import MachineStats, MeasurementSummary
+from repro.sim.engine import MachineEngine
+from repro.sim.machine import Machine
+from repro.sim.stats import MeasurementSummary
 from repro.sim.telemetry import TelemetryConfig
-from repro.topology.torus import Torus
 from repro.workload.base import ThreadProgram
 
-__all__ = ["BatchMachine", "run_batch"]
-
-
-# ----------------------------------------------------------------------
-# Compiled-core bindings.
-# ----------------------------------------------------------------------
-#
-# Python talks to the core through two small shims: a per-(lane, node)
-# controller proxy for the processor-facing calls, and a per-lane
-# fabric view for link-flit snapshots.
+__all__ = ["CoreDriver", "run_batch"]
 
 
 class _CoreController:
-    """Processor-facing view of one (replication, node) core controller."""
+    """Processor-facing view of one node's controller in the core."""
 
-    __slots__ = ("node", "_machine", "_rep", "_lib", "_core")
+    __slots__ = ("node", "_driver", "_lib", "_core")
 
-    def __init__(self, machine: "BatchMachine", rep_index: int, node: int):
+    def __init__(self, driver: "CoreDriver", node: int):
         self.node = node
-        self._machine = machine
-        self._rep = rep_index
-        self._lib = machine._lib
-        self._core = machine._core
+        self._driver = driver
+        self._lib = driver._lib
+        self._core = driver._core
 
     def is_hit(self, block, is_write):
-        machine = self._machine
-        block_id = machine._block_ids.get(block)
+        driver = self._driver
+        block_id = driver._block_ids.get(block)
         if block_id is None:
-            block_id = machine._intern_block(block)
+            block_id = driver._intern_block(block)
         return bool(
-            self._lib.bc_is_hit(
-                self._core, self._rep, self.node, block_id, is_write
-            )
+            self._lib.bc_is_hit(self._core, self.node, block_id, is_write)
         )
 
     def record_access(self, block):
-        block_id = self._machine._block_ids.get(block)
+        block_id = self._driver._block_ids.get(block)
         if block_id is not None:
-            self._lib.bc_record_access(
-                self._core, self._rep, self.node, block_id
-            )
+            self._lib.bc_record_access(self._core, self.node, block_id)
 
     def request(self, block, is_write, cycle, callback):
-        machine = self._machine
-        block_id = machine._block_ids.get(block)
+        driver = self._driver
+        block_id = driver._block_ids.get(block)
         if block_id is None:
-            block_id = machine._intern_block(block)
-        rep = machine._reps[self._rep]
-        handle = rep.next_handle
-        rep.next_handle = handle + 1
-        rep.callbacks[handle] = callback
+            block_id = driver._intern_block(block)
+        handle = driver._next_handle
+        driver._next_handle = handle + 1
+        driver._callbacks[handle] = callback
         self._lib.bc_request(
-            self._core, self._rep, self.node, block_id, bool(is_write),
-            cycle, handle,
+            self._core, self.node, block_id, bool(is_write), cycle, handle
         )
 
 
 class _CoreFabricView:
-    """Per-replication fabric introspection backed by core counters."""
+    """The machine's fabric introspection, backed by core counters."""
 
-    __slots__ = ("_machine", "_rep")
+    __slots__ = ("_driver",)
 
-    def __init__(self, machine: "BatchMachine", rep_index: int):
-        self._machine = machine
-        self._rep = rep_index
+    def __init__(self, driver: "CoreDriver"):
+        self._driver = driver
 
     @property
     def link_flits(self) -> Dict[Tuple[int, int, int], int]:
-        machine = self._machine
-        buf = machine._link_buf
-        machine._lib.bc_get_link_flits(machine._core, self._rep, buf)
-        keys = machine._link_keys
-        return {
-            keys[i]: buf[i] for i in range(len(keys)) if buf[i]
-        }
+        driver = self._driver
+        buf = driver._link_buf
+        driver._lib.bc_get_link_flits(driver._core, buf)
+        keys = driver._link_keys
+        return {keys[i]: buf[i] for i in range(len(keys)) if buf[i]}
 
     @property
     def in_flight(self) -> int:
-        machine = self._machine
-        return machine._lib.bc_in_flight(machine._core, self._rep)
+        return self._driver._lib.bc_in_flight(self._driver._core)
 
 
-# ----------------------------------------------------------------------
-# Lockstep driver.
-# ----------------------------------------------------------------------
+class CoreDriver(MachineEngine):
+    """Drives one fresh machine's run on the compiled core.
 
-
-class _Rep:
-    """Per-replication machine state tracked by the lockstep driver."""
-
-    __slots__ = (
-        "index", "processors", "controllers", "stats", "fabric", "heap",
-        "woken", "woken_flag", "last_tick",
-        "idle_before", "switches_before", "callbacks", "next_handle",
-    )
-
-
-class BatchMachine:
-    """R independent replications of one machine config, run in lockstep.
-
-    Construction mirrors ``Machine(config.with_seed(seed), mapping,
-    programs)`` per seed — per-replication program deep copies, per-node
-    RNG streams spawned from each seed — with the thread-home table
-    shared read-only across replications.  The batch runs only on the
-    compiled core: a config it cannot serve raises
-    :class:`~repro.errors.SimulationError` naming the reason
-    (:func:`run_batch` runs those batches serially instead).
-    :meth:`run` is single-use and returns per-seed summaries in seed
-    order, each bit-identical to the serial machine's.
+    Takes over ``machine``: its processors stay (the wake calendar of
+    :class:`~repro.sim.engine.MachineEngine` drives them), while its
+    controllers and fabric are replaced by views into the core, so the
+    machine reads the state the core leaves behind.  A machine the core
+    cannot serve raises :class:`~repro.errors.SimulationError` naming
+    the reason.  :meth:`Machine.run` builds one per core run.
     """
 
-    def __init__(
-        self,
-        config: SimulationConfig,
-        mapping: Mapping,
-        programs: Sequence[Sequence[ThreadProgram]],
-        seeds: Sequence[int],
-        _adopt=None,
-    ):
-        seeds = tuple(int(seed) for seed in seeds)
-        if not seeds:
-            raise ParameterError("need at least one replication seed")
-        loaded, reason = batchcore.select_core(config)
+    def __init__(self, machine):
+        loaded, reason = machine._core_selection()
         if loaded is None:
             raise SimulationError(
-                f"BatchMachine runs only on the compiled core: {reason}; "
-                "use run_batch, which runs such batches serially"
+                f"CoreDriver runs only on the compiled core: {reason}; "
+                "Machine.run runs such machines on the Python spec"
             )
-        self.config = config
-        self.seeds = seeds
-        self.torus = Torus(radix=config.radix, dimensions=config.dimensions)
-        nodes = self.torus.node_count
-        if _adopt is None:
-            # Validate the mapping/programs combination once, with the
-            # same errors a solo Machine raises.
-            place_programs(config, mapping, programs, nodes)
-        self._homes = [mapping.processor_of(t) for t in range(mapping.threads)]
-        self._link_keys = enumerate_channels(self.torus)[2]
-        self._block_ids: Dict[Tuple[int, int], int] = {}
+        super().__init__(machine)
+        config = machine.config
+        torus = machine.torus
+        mapping = machine.mapping
+        nodes = torus.node_count
         ffi, lib = loaded
         core = lib.bc_create(
-            len(seeds), nodes, config.dimensions, config.radix,
-            config.cache_lines,
+            nodes, config.dimensions, config.radix, config.cache_lines,
             config.to_network(config.request_cycles),
             config.to_network(config.receive_cycles),
             config.to_network(config.send_cycles),
             config.to_network(config.memory_cycles),
         )
         if core == ffi.NULL:
-            raise MemoryError("cannot allocate the batch core")
+            raise MemoryError("cannot allocate the compiled core")
         self._ffi = ffi
         self._lib = lib
         self._core = ffi.gc(core, lib.bc_destroy)
+        self._homes = [mapping.processor_of(t) for t in range(mapping.threads)]
+        self._block_ids: Dict[Tuple[int, int], int] = {}
+        self._callbacks: Dict[int, object] = {}
+        self._next_handle = 0
+        self._link_keys = enumerate_channels(torus)[2]
         self._link_buf = ffi.new("long long[]", len(self._link_keys))
         self._node_buf = ffi.new("long long[]", nodes)
         self._counter_buf = ffi.new("long long[12]")
         self._double_buf = ffi.new("double[1]")
-        self._reps: List[_Rep] = []
-        self._cycle = 0
-        self._ran = False
-        for index, seed in enumerate(seeds):
-            rep = _Rep()
-            rep.index = index
-            rep.stats = (
-                MachineStats(nodes=nodes) if _adopt is None else _adopt.stats
-            )
-            rep.heap = []
-            rep.woken = []
-            rep.woken_flag = [False] * nodes
-            rep.last_tick = [-1] * nodes
-            rep.callbacks = {}
-            rep.next_handle = 0
-            rep.controllers = [
-                _CoreController(self, index, node) for node in range(nodes)
-            ]
-            rep.fabric = _CoreFabricView(self, index)
-            if _adopt is None:
-                # Per-replication program copies (programs are stateful)
-                # and RNG streams, exactly as the serial replication path
-                # builds them from config.with_seed(seed).
-                _, programs_at = place_programs(
-                    config, mapping, copy.deepcopy(programs), nodes
-                )
-                node_seeds = np.random.SeedSequence(seed).spawn(nodes)
-                rep.processors = [
-                    Processor(
-                        node=node,
-                        config=config,
-                        controller=rep.controllers[node],
-                        programs=programs_at[node],
-                        stats=rep.stats,
-                        seed_seq=node_seeds[node],
-                    )
-                    for node in range(nodes)
-                ]
-            else:
-                rep.processors = _adopt.processors
-                for processor in rep.processors:
-                    processor.controller = rep.controllers[processor.node]
-            # Processor wake calendar (port of MachineEngine.__init__ at
-            # cycle 0): every fresh processor is mid-run, so it lands on
-            # the heap; the wake listener catches later idle wake-ups.
-            wake = self._make_wake(rep)
-            for processor in rep.processors:
-                processor._wake_listener = wake
-                distance = processor.next_event_ticks()
-                if distance is not None:
-                    heappush(rep.heap, (distance - 1, processor.node))
-                elif processor._ready_count:  # pragma: no cover - defensive
-                    rep.woken_flag[processor.node] = True
-                    rep.woken.append(processor.node)
-            self._reps.append(rep)
-
-    @classmethod
-    def adopt(cls, machine) -> "BatchMachine":
-        """A one-lane batch that takes over a fresh ``machine``.
-
-        The single-run fast path of :meth:`repro.sim.machine.Machine.run`.
-        The machine's processors (programs placed, RNG streams spawned,
-        first run lengths drawn — exactly what a batch lane builds) and
-        its ``MachineStats`` become lane 0, and the lane's controllers
-        and fabric view replace the machine's, so the machine reads the
-        state this batch leaves behind.
-        """
-        batch = cls(
-            machine.config,
-            machine.mapping,
-            (),
-            (machine.config.seed,),
-            _adopt=machine,
-        )
-        lane = batch._reps[0]
-        machine.controllers = lane.controllers
-        machine.fabric = lane.fabric
-        return batch
-
-    # -- compiled-core plumbing ----------------------------------------
+        machine.controllers = [_CoreController(self, n) for n in range(nodes)]
+        machine.fabric = _CoreFabricView(self)
+        for processor in machine.processors:
+            processor.controller = machine.controllers[processor.node]
 
     def _intern_block(self, block: Tuple[int, int]) -> int:
         """Assign a dense core id to a block tuple (instance, thread)."""
-        block_id = self._lib.bc_add_block(
-            self._core, self._homes[block[1]]
-        )
+        block_id = self._lib.bc_add_block(self._core, self._homes[block[1]])
         self._block_ids[block] = block_id
         return block_id
 
-    def _merge_core_stats(self, rep: _Rep) -> None:
-        """Copy the core's measuring-gated counters into rep.stats."""
+    def start_measuring(self) -> None:
+        """Zero the core's measuring-gated counters (window start)."""
+        self._lib.bc_start_measuring(self._core)
+
+    def merge_stats(self) -> None:
+        """Copy the core's measuring-gated counters into machine.stats."""
         lib = self._lib
         ints = self._counter_buf
         dbl = self._double_buf
-        lib.bc_get_counters(self._core, rep.index, ints, dbl)
-        stats = rep.stats
+        lib.bc_get_counters(self._core, ints, dbl)
+        stats = self.machine.stats
         stats.messages_sent = ints[0]
         stats.message_flits = ints[1]
         stats.message_flits_squared = ints[2]
@@ -329,189 +194,60 @@ class BatchMachine:
         stats.cache_evictions_count = ints[11]
         stats.hop_latency_total = dbl[0]
         buf = self._node_buf
-        lib.bc_get_per_node_sent(self._core, rep.index, buf)
+        lib.bc_get_per_node_sent(self._core, buf)
         stats.per_node_messages = {
             node: buf[node]
-            for node in range(self.torus.node_count)
+            for node in range(self.machine.torus.node_count)
             if buf[node]
         }
 
-    @staticmethod
-    def _make_wake(rep: _Rep):
-        woken = rep.woken
-        flag = rep.woken_flag
+    def run_window(self, cycles: int) -> None:
+        """Advance the machine ``cycles`` network cycles.
 
-        def on_wake(processor):
-            if (
-                processor._active is None
-                and processor._switch_remaining == 0
-                and not flag[processor.node]
-            ):
-                flag[processor.node] = True
-                woken.append(processor.node)
-
-        return on_wake
-
-    # ------------------------------------------------------------------
-    # Run loop.
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        warmup: Optional[int] = None,
-        measure: Optional[int] = None,
-    ) -> List[MeasurementSummary]:
-        """Warm up, measure, and summarize every replication."""
-        if self._ran:
-            raise SimulationError(
-                "BatchMachine.run is single-use; build a new instance per "
-                "batch"
-            )
-        self._ran = True
-        config = self.config
-        warmup = config.warmup_network_cycles if warmup is None else warmup
-        measure = config.measure_network_cycles if measure is None else measure
-        reps = self._reps
-        with obs.span(
-            "sim.batch",
-            reps=len(reps),
-            warmup=warmup,
-            measure=measure,
-            nodes=self.torus.node_count,
-        ):
-            self._run_window(warmup)
-            for rep in reps:
-                rep.idle_before = [p.idle_cycles for p in rep.processors]
-                rep.switches_before = sum(
-                    p.switch_count for p in rep.processors
-                )
-                rep.stats.start_measuring(self._cycle, rep.fabric.link_flits)
-                self._lib.bc_start_measuring(self._core, rep.index)
-            self._run_window(measure)
-            for rep in reps:
-                rep.stats.stop_measuring(self._cycle)
-                self._merge_core_stats(rep)
-        physical_links = self.torus.node_count * 2 * self.torus.dimensions
-        summaries = []
-        for rep in reps:
-            for processor in rep.processors:
-                processor._wake_listener = None
-            rep.stats.idle_cycles = sum(
-                p.idle_cycles - before
-                for p, before in zip(rep.processors, rep.idle_before)
-            )
-            rep.stats.switches = (
-                sum(p.switch_count for p in rep.processors)
-                - rep.switches_before
-            )
-            summaries.append(
-                rep.stats.summary(
-                    link_flits=rep.fabric.link_flits,
-                    physical_links=physical_links,
-                    network_speedup=config.network_speedup,
-                )
-            )
-        return summaries
-
-    def _run_window(self, cycles: int) -> None:
-        """Advance every lane ``cycles`` network cycles.
-
-        Python processors, C controllers/fabric.  The per-cycle
-        ctrl/fabric body lives in ``bc_advance``, which runs this
-        replication up to the next *processor* boundary (the earliest
-        processor-heap due tick or post-wake boundary) and additionally
-        returns early whenever a cycle completed a memory transaction,
-        so the Python side can run the completion callbacks —
-        order-preserved, processor-state-only — and recompute the
-        boundary.  Cycles the serial engine would visit idly are skipped
-        inside the core with the same guards as the Python engine (ready
-        controllers, controller wake heap, fabric horizon).
+        Python visits the processor boundaries; ``bc_advance`` runs the
+        controllers and the fabric up to the next one (the earliest wake
+        heap entry or post-wake boundary) and returns early whenever a
+        cycle completed a memory transaction, so the completion
+        callbacks — order-preserved, processor-state-only — run here
+        before the boundary is recomputed.
         """
-        if cycles <= 0:
-            return
+        machine = self.machine
         lib = self._lib
         core = self._core
-        start = self._cycle
-        end = start + cycles
-        speedup = self.config.network_speedup
-        reps = self._reps
-        merged = [(start, index) for index in range(len(reps))]
-        while merged and merged[0][0] < end:
-            cycle, index = heappop(merged)
-            rep = reps[index]
-            heap = rep.heap
+        speedup = self.speedup
+        heap = self._heap
+        woken = self._woken
+        visit = self._visit
+        pop = self._callbacks.pop
+        cycle = machine._cycle
+        end = cycle + cycles
+        while cycle < end:
             if cycle % speedup == 0:
-                tick = cycle // speedup
-                batch: Optional[List[int]] = None
-                while heap and heap[0][0] == tick:
-                    node = heappop(heap)[1]
-                    if batch is None:
-                        batch = [node]
-                    else:
-                        batch.append(node)
-                woken = rep.woken
-                if woken:
-                    if batch is None:
-                        woken.sort()
-                        batch = woken[:]
-                    else:
-                        batch.extend(woken)
-                        batch.sort()
-                    flag = rep.woken_flag
-                    for node in woken:
-                        flag[node] = False
-                    woken.clear()
-                if batch is not None:
-                    processors = rep.processors
-                    last_tick = rep.last_tick
-                    for node in batch:
-                        processor = processors[node]
-                        gap = tick - last_tick[node] - 1
-                        if gap > 0:
-                            processor.skip_ticks(gap)
-                        processor.tick(cycle)
-                        last_tick[node] = tick
-                        distance = processor.next_event_ticks()
-                        if distance is not None:
-                            heappush(heap, (tick + distance, node))
-            # Advance ctrl + fabric in C up to the next processor
-            # boundary (heap due or first post-wake boundary).
+                visit(cycle)
             stop = end
             if heap:
-                due_at = heap[0][0] * speedup
-                if due_at < stop:
-                    stop = due_at
-            if rep.woken:
-                due_at = cycle + 1
-                rem = due_at % speedup
+                due = heap[0][0] * speedup
+                if due < stop:
+                    stop = due
+            if woken:
+                due = cycle + 1
+                rem = due % speedup
                 if rem:
-                    due_at += speedup - rem
-                if due_at < stop:
-                    stop = due_at
-            nxt = lib.bc_advance(core, index, stop)
-            if nxt < 0:
+                    due += speedup - rem
+                if due < stop:
+                    stop = due
+            cycle = lib.bc_advance(core, stop)
+            if cycle < 0:
                 batchcore.raise_error(self._ffi, lib, core)
-            count = lib.bc_comp_count(core, index)
+            count = lib.bc_comp_count(core)
             if count:
-                buf = lib.bc_comp_ptr(core, index)
-                pop = rep.callbacks.pop
+                buf = lib.bc_comp_ptr(core)
                 for i in range(count):
                     pop(buf[2 * i])(buf[2 * i + 1])
-                lib.bc_comp_clear(core, index)
-            if nxt < end:
-                heappush(merged, (nxt, index))
-        self._cycle = end
-        # Flush processors to the window's last boundary (port of
-        # MachineEngine._flush): pure deferred countdown accounting.
-        tick = (end - 1) // speedup
-        for rep in reps:
-            last_tick = rep.last_tick
-            for processor in rep.processors:
-                node = processor.node
-                gap = tick - last_tick[node]
-                if gap > 0:
-                    processor.skip_ticks(gap)
-                    last_tick[node] = tick
+                lib.bc_comp_clear(core)
+        machine._cycle = end
+        if cycles > 0:
+            self._flush((end - 1) // speedup)
 
 
 def run_batch(
@@ -523,28 +259,22 @@ def run_batch(
     measure: Optional[int] = None,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> List[MeasurementSummary]:
-    """Run ``len(seeds)`` replications; summaries in seed order.
+    """Run one machine per seed; summaries in seed order.
 
     Each summary (and telemetry snapshot, with a ``telemetry`` config)
-    is bit-identical to the serial
-    ``Machine(config.with_seed(seed), mapping, programs).run(...)`` for
-    the same seed.  Batches the compiled core can serve run in lockstep
-    on it (:class:`BatchMachine`); the rest run as serial Python-spec
-    machines, one per seed.  Programs are deep-copied per replication
-    internally; callers pass the pristine originals.
+    is that of ``Machine(config.with_seed(seed), mapping, programs)
+    .run(...)``: every seed is an ordinary machine run, on the compiled
+    core when it can serve it and on the Python spec otherwise.
+    Programs are deep-copied per seed; callers pass the pristine
+    originals.
     """
     seeds = tuple(int(seed) for seed in seeds)
     if not seeds:
         raise ParameterError("need at least one replication seed")
-    loaded, _ = batchcore.select_core(config, telemetry=telemetry is not None)
-    if loaded is not None:
-        machine = BatchMachine(config, mapping, programs, seeds)
-        return machine.run(warmup=warmup, measure=measure)
     summaries = []
     for seed in seeds:
         machine = Machine(
-            config.with_seed(seed), mapping, copy.deepcopy(programs),
-            engine=True,
+            config.with_seed(seed), mapping, copy.deepcopy(programs)
         )
         if telemetry is not None:
             machine.attach_telemetry(telemetry)

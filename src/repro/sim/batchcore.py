@@ -3,16 +3,17 @@
 Compiles :mod:`repro.sim` ``_batchcore.c`` with the system C compiler
 the first time it is needed (cached under the user cache directory,
 keyed by source hash) and loads it through :mod:`cffi` in ABI mode —
-no setuptools build step, no Python.h dependency.  The core is a port
-of :mod:`repro.sim.coherence` and :mod:`repro.sim.cut_through`, the
-Python spec it is parity-pinned to.
+no setuptools build step, no Python.h dependency.  The core simulates
+one machine: it is a port of :mod:`repro.sim.coherence` and
+:mod:`repro.sim.cut_through`, the Python spec it is parity-pinned to,
+driven by :class:`repro.sim.batch.CoreDriver`.
 
 :func:`select_core` is the single place that decides whether a run can
-take the core: :meth:`repro.sim.machine.Machine.run` and
-:func:`repro.sim.batch.run_batch` both ask it.  When the core cannot
-serve a run — wormhole switching, instrumentation, no compiler or cffi —
-callers run the Python spec instead, and an unavailable core degrades
-loudly (see :func:`acquire`).
+take the core; :meth:`repro.sim.machine.Machine.run` asks it for every
+run, whether it comes alone or from a replication campaign.  When the
+core cannot serve a run — wormhole switching, instrumentation, no
+compiler or cffi — the machine runs on the Python spec instead, and an
+unavailable core degrades loudly (see :func:`acquire`).
 
 The ``REPRO_BATCH_ENGINE`` environment variable gates selection:
 ``auto`` (default) uses the core when available and applicable, and
@@ -50,27 +51,26 @@ __all__ = [
 _SOURCE = Path(__file__).with_name("_batchcore.c")
 
 CDEF = """
-typedef struct Batch Batch;
-Batch *bc_create(int R, int N, int dims, int radix, int capacity,
-                 int req_cost, int recv_cost, int send_cost, int mem_cost);
-void bc_destroy(Batch *b);
-int bc_add_block(Batch *b, int home);
-int bc_is_hit(Batch *b, int r, int node, int block, int is_write);
-void bc_record_access(Batch *b, int r, int node, int block);
-void bc_request(Batch *b, int r, int node, int block, int is_write,
+typedef struct Core Core;
+Core *bc_create(int N, int dims, int radix, int capacity, int req_cost,
+                int recv_cost, int send_cost, int mem_cost);
+void bc_destroy(Core *core);
+int bc_add_block(Core *core, int home);
+int bc_is_hit(Core *core, int node, int block, int is_write);
+void bc_record_access(Core *core, int node, int block);
+void bc_request(Core *core, int node, int block, int is_write,
                 long long cycle, long long handle);
-long long bc_advance(Batch *b, int r, long long stop);
-long long bc_cycle(Batch *b, int r);
-int bc_comp_count(Batch *b, int r);
-long long *bc_comp_ptr(Batch *b, int r);
-void bc_comp_clear(Batch *b, int r);
-void bc_start_measuring(Batch *b, int r);
-void bc_get_counters(Batch *b, int r, long long *out_i, double *out_d);
-void bc_get_link_flits(Batch *b, int r, long long *out);
-void bc_get_per_node_sent(Batch *b, int r, long long *out);
-long long bc_in_flight(Batch *b, int r);
-int bc_errcode(Batch *b);
-const char *bc_errmsg(Batch *b);
+long long bc_advance(Core *core, long long stop);
+int bc_comp_count(Core *core);
+long long *bc_comp_ptr(Core *core);
+void bc_comp_clear(Core *core);
+void bc_start_measuring(Core *core);
+void bc_get_counters(Core *core, long long *out_i, double *out_d);
+void bc_get_link_flits(Core *core, long long *out);
+void bc_get_per_node_sent(Core *core, long long *out);
+long long bc_in_flight(Core *core);
+int bc_errcode(Core *core);
+const char *bc_errmsg(Core *core);
 void *ts_new(void);
 void ts_free(void *p);
 void ts_add(void *p, long long key);
@@ -275,12 +275,12 @@ def select_core(
     return loaded, reason
 
 
-def raise_error(ffi, lib, batch) -> None:
+def raise_error(ffi, lib, core) -> None:
     """Re-raise a core-side error flag as the matching Python error."""
-    code = lib.bc_errcode(batch)
+    code = lib.bc_errcode(core)
     if not code:
         return
-    message = ffi.string(lib.bc_errmsg(batch)).decode()
+    message = ffi.string(lib.bc_errmsg(core)).decode()
     if code == 2:
         raise ProtocolError(message)
     raise SimulationError(message)

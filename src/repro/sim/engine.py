@@ -41,12 +41,14 @@ oracle, the same pattern as the fabric kernel vs the reference fabric.
 
 By default a fresh, uninstrumented cut-through ``Machine.run`` goes
 one step further and runs on the compiled C core
-(:mod:`repro.sim.batchcore`, as a one-lane
-:class:`~repro.sim.batch.BatchMachine`).  This engine then serves the
-runs the core cannot — wormhole switching, a custom fabric, a tracer
-or telemetry attached, a machine resumed mid-run, no core — and is the
-executable spec the core is checked against: ``Machine(engine=True)``
-pins it.
+(:mod:`repro.sim.batchcore`) through
+:class:`~repro.sim.batch.CoreDriver`, a subclass that keeps this
+engine's processor calendar (wake registration, boundary visit, flush)
+and hands the controllers and fabric to C.  This engine then serves
+the runs the core cannot — wormhole switching, a custom fabric, a
+tracer or telemetry attached, a machine resumed mid-run, no core — and
+is the executable spec the core is checked against:
+``Machine(engine=True)`` pins it.
 """
 
 from __future__ import annotations
@@ -121,6 +123,51 @@ class MachineEngine:
             self._woken_flag[processor.node] = True
             self._woken.append(processor.node)
 
+    def _visit(self, cycle: int) -> None:
+        """Run the processor boundary at ``cycle`` (a multiple of speedup).
+
+        Visits the processors due on the wake heap plus those woken
+        since the last boundary, in ascending node order, and puts each
+        back on the heap at its next event.
+        """
+        tick = cycle // self.speedup
+        heap = self._heap
+        woken = self._woken
+        batch: Optional[List[int]] = None
+        while heap and heap[0][0] == tick:
+            node = heappop(heap)[1]
+            if batch is None:
+                batch = [node]
+            else:
+                batch.append(node)
+        if woken:
+            # Wakes target strictly-future boundaries, so every queued
+            # node is due now; idle processors carry no heap entry, so
+            # the two sources never overlap.
+            if batch is None:
+                woken.sort()
+                batch = woken[:]
+            else:
+                batch.extend(woken)
+                batch.sort()
+            woken_flag = self._woken_flag
+            for node in woken:
+                woken_flag[node] = False
+            woken.clear()
+        if batch is not None:
+            processors = self.machine.processors
+            last_tick = self._last_tick
+            for node in batch:
+                processor = processors[node]
+                gap = tick - last_tick[node] - 1
+                if gap > 0:
+                    processor.skip_ticks(gap)
+                processor.tick(cycle)
+                last_tick[node] = tick
+                distance = processor.next_event_ticks()
+                if distance is not None:
+                    heappush(heap, (tick + distance, node))
+
     def run_window(self, cycles: int) -> None:
         """Advance the machine ``cycles`` network cycles.
 
@@ -135,9 +182,7 @@ class MachineEngine:
         speedup = self.speedup
         heap = self._heap
         woken = self._woken
-        woken_flag = self._woken_flag
-        last_tick = self._last_tick
-        processors = machine.processors
+        visit = self._visit
         engine_ready = machine._engine_ready
         engine_wake = machine._engine_wake
         tick_controllers = machine._tick_controllers
@@ -151,38 +196,7 @@ class MachineEngine:
         while cycle < end:
             machine._cycle = cycle
             if cycle % speedup == 0:
-                tick = cycle // speedup
-                batch: Optional[List[int]] = None
-                while heap and heap[0][0] == tick:
-                    node = heappop(heap)[1]
-                    if batch is None:
-                        batch = [node]
-                    else:
-                        batch.append(node)
-                if woken:
-                    # Wakes target strictly-future boundaries, so every
-                    # queued node is due now; idle processors carry no
-                    # heap entry, so the two sources never overlap.
-                    if batch is None:
-                        woken.sort()
-                        batch = woken[:]
-                    else:
-                        batch.extend(woken)
-                        batch.sort()
-                    for node in woken:
-                        woken_flag[node] = False
-                    woken.clear()
-                if batch is not None:
-                    for node in batch:
-                        processor = processors[node]
-                        gap = tick - last_tick[node] - 1
-                        if gap > 0:
-                            processor.skip_ticks(gap)
-                        processor.tick(cycle)
-                        last_tick[node] = tick
-                        distance = processor.next_event_ticks()
-                        if distance is not None:
-                            heappush(heap, (tick + distance, node))
+                visit(cycle)
             tick_controllers(cycle)
             fabric_tick(cycle)
             if tracer is not None:

@@ -15,8 +15,8 @@ window, after which :meth:`Machine.run` returns the
 :class:`~repro.sim.stats.MeasurementSummary`.
 
 A fresh, uninstrumented cut-through machine runs on the compiled C
-core (:mod:`repro.sim.batchcore`) as a one-lane
-:class:`~repro.sim.batch.BatchMachine`; everything else runs on the
+core (:mod:`repro.sim.batchcore`, driven by
+:class:`~repro.sim.batch.CoreDriver`); everything else runs on the
 Python event calendar (:mod:`repro.sim.engine`) or the per-cycle step
 loop.  All three paths produce identical summaries; ``engine_path`` and
 ``engine_reason`` record which one ran and why.
@@ -63,11 +63,9 @@ def place_programs(
 ) -> tuple:
     """Validate a (mapping, programs) combination and place threads.
 
-    Shared by :class:`Machine` and the batched replication engine
-    (:mod:`repro.sim.batch`), so both accept exactly the same two modes
-    (replicated instances vs collocation) with the same error messages.
-    Returns ``(collocated, programs_at)`` where ``programs_at[node]`` is
-    the per-context program list for that node.
+    Accepts two modes (replicated instances vs collocation; see
+    :class:`Machine`).  Returns ``(collocated, programs_at)`` where
+    ``programs_at[node]`` is the per-context program list for that node.
     """
     if mapping.processors != node_count:
         raise SimulationError(
@@ -206,9 +204,9 @@ class Machine:
         #: ``"calendar"`` or ``"loop"``) and why; ``None`` before a run.
         self.engine_path: Optional[str] = None
         self.engine_reason: Optional[str] = None
-        #: The one-lane core batch holding this machine's state after a
-        #: core run; the Python controllers and fabric are then retired.
-        self._core_batch = None
+        #: The core driver holding this machine's state after a core
+        #: run; the Python controllers and fabric are then retired.
+        self._core_driver = None
 
         # Event-driven engine scheduling: controllers whose engine went
         # from idle to busy this cycle land on ``_engine_ready`` (via the
@@ -314,7 +312,7 @@ class Machine:
         parity oracle; idle accounting lives in ``Processor.tick`` (its
         own fast path), the single source of truth both drivers share.
         """
-        if self._core_batch is not None:
+        if self._core_driver is not None:
             raise SimulationError(_CORE_SPENT)
         cycle = self._cycle
         if cycle % self.config.network_speedup == 0:
@@ -371,7 +369,7 @@ class Machine:
         on the compiled core is finished — its state lives in the core,
         and a second ``run`` or ``step`` raises.
         """
-        if self._core_batch is not None:
+        if self._core_driver is not None:
             raise SimulationError(_CORE_SPENT)
         warmup = self.config.warmup_network_cycles if warmup is None else warmup
         measure = (
@@ -383,13 +381,18 @@ class Machine:
         obs.REGISTRY.counter(
             f"sim.engine.{path}", help=f"Machine.run calls on the {path} path"
         ).inc()
-        if path == "core":
-            return self._run_core(warmup, measure)
         # One engine serves both windows; it leaves processor state
         # flushed to the last boundary after each window, so the
         # between-window counter sampling below reads exactly what the
-        # per-cycle loop would have left.
-        engine = MachineEngine(self) if path == "calendar" else None
+        # per-cycle loop would have left.  The core driver takes over
+        # the controllers and fabric for good.
+        engine = core = None
+        if path == "core":
+            from repro.sim.batch import CoreDriver  # batch imports this module
+
+            engine = core = self._core_driver = CoreDriver(self)
+        elif path == "calendar":
+            engine = MachineEngine(self)
         # The run loop is the simulator's hottest path, so the
         # instrumentation wraps the warmup/measurement windows rather
         # than individual steps; cycle totals land on a registry counter.
@@ -398,6 +401,7 @@ class Machine:
             warmup=warmup,
             measure=measure,
             nodes=self.torus.node_count,
+            engine=path,
         ):
             with obs.span("sim.warmup", cycles=warmup):
                 if engine is not None:
@@ -409,6 +413,8 @@ class Machine:
             idle_before = [p.idle_cycles for p in self.processors]
             switches_before = sum(p.switch_count for p in self.processors)
             self.stats.start_measuring(self._cycle, self.fabric.link_flits)
+            if core is not None:
+                core.start_measuring()
 
             with obs.span("sim.measure", cycles=measure):
                 if engine is not None:
@@ -418,6 +424,8 @@ class Machine:
                         self.step()
 
             self.stats.stop_measuring(self._cycle)
+            if core is not None:
+                core.merge_stats()
         if engine is not None:
             # Detach the wake hooks so later step() calls (or a fresh
             # engine on the next run) don't feed this engine's calendar.
@@ -446,34 +454,18 @@ class Machine:
             return "loop", "engine=False pins the step loop"
         if not self.engine_enabled:
             return "loop", "REPRO_SIM_ENGINE=0 selects the step loop"
-        loaded, reason = batchcore.select_core(
+        loaded, reason = self._core_selection()
+        return ("core" if loaded is not None else "calendar"), reason
+
+    def _core_selection(self):
+        """:func:`~repro.sim.batchcore.select_core` for this machine."""
+        return batchcore.select_core(
             self.config,
             fabric_factory=self._fabric_factory is not None,
             tracer=self.tracer is not None,
             telemetry=self.telemetry is not None,
             cycle=self._cycle,
         )
-        return ("core" if loaded is not None else "calendar"), reason
-
-    def _run_core(self, warmup: int, measure: int) -> MeasurementSummary:
-        """Run both windows on the compiled core as a one-lane batch."""
-        from repro.sim.batch import BatchMachine  # batch imports this module
-
-        self._core_batch = BatchMachine.adopt(self)
-        with obs.span(
-            "sim.run",
-            warmup=warmup,
-            measure=measure,
-            nodes=self.torus.node_count,
-            engine="core",
-        ):
-            (summary,) = self._core_batch.run(warmup=warmup, measure=measure)
-        self._cycle = warmup + measure
-        if obs.is_enabled():
-            obs.REGISTRY.counter(
-                "sim.cycles", help="network cycles stepped by Machine.run"
-            ).inc(warmup + measure)
-        return summary
 
     def summary(self) -> MeasurementSummary:
         """Reduce the measured window to model-facing quantities."""

@@ -2,21 +2,19 @@
 
 Every simulated figure used to rest on a single seed.  This module runs
 the same (config, mapping, programs) machine under a list of root seeds
-— serially, fanned out over the persistent warm worker pool
-(:mod:`repro.core.pool`), and/or packed into lockstep batches
-(``batch=R`` routes contiguous seed chunks through
-:func:`repro.sim.batch.run_batch`, one engine pass per chunk) — and
-aggregates each
+— serially or fanned out over the persistent warm worker pool
+(:mod:`repro.core.pool`), every seed its own ``Machine.run`` through
+:func:`repro.sim.batch.run_batch` — and aggregates each
 :class:`~repro.sim.stats.MeasurementSummary` metric into mean / sample
 standard deviation / 95% confidence interval, so model-vs-sim
 comparisons carry error bars instead of point estimates.
 
 Determinism contract: for a fixed seed list the aggregates (and the
-per-seed summaries) are identical regardless of ``jobs`` and of pool
-reuse.  Each replication is an isolated machine built from
-``config.with_seed(seed)`` with its own deep copy of the programs (both
-the serial path and the pool worker copy explicitly — warm workers
-reuse the broadcast payload across tasks, so nothing may mutate it),
+per-seed summaries) are identical regardless of ``jobs``, ``batch`` and
+pool reuse.  Each replication is an isolated machine built from
+``config.with_seed(seed)`` with its own deep copy of the programs (warm
+workers reuse the broadcast payload across tasks, so nothing may
+mutate it),
 results are reassembled in seed order whatever the completion order,
 and the statistics are computed with plain float arithmetic over that
 order.
@@ -47,7 +45,6 @@ from repro import obs
 from repro.core.pool import (
     FALLBACK_ERRORS,
     WorkerPool,
-    chunk_tasks,
     get_pool,
     note_fallback,
 )
@@ -165,120 +162,48 @@ def aggregate_summaries(
     return aggregates
 
 
-def _run_single(arguments) -> Tuple[MeasurementSummary, Optional[Dict]]:
-    """One seeded machine run.
+def _run_seed(
+    payload, seed, warmup, measure, telemetry
+) -> MeasurementSummary:
+    """Run one seed inside its own ``replication`` span.
 
-    Module-level so it pickles; takes one tuple so it maps cleanly.
-    Callers must hand this their own copy of mapping and programs
-    (programs carry mutable per-run state): the serial path deep-copies,
-    and :func:`_pool_run_single` deep-copies the broadcast payload
-    before delegating here.
+    ``payload`` is the shared ``(config, mapping, programs)``; the
+    mapping is copied here and :func:`run_batch` deep-copies the
+    programs, so the payload is never mutated.
     """
-    (
-        config,
-        mapping,
-        programs,
-        seed,
-        warmup,
-        measure,
-        collect_obs,
-        telemetry,
-    ) = arguments
+    config, mapping, programs = payload
+    with obs.span("replication", seed=seed):
+        (summary,) = run_batch(
+            config, copy.deepcopy(mapping), programs, (seed,),
+            warmup=warmup, measure=measure, telemetry=telemetry,
+        )
+    return summary
+
+
+def _pool_run_seed(payload, task):
+    """Warm-pool task: one seed, plus this worker's obs records.
+
+    Module-level so it pickles.  ``payload`` is the broadcast
+    ``(config, mapping, programs)`` shared by every task on this
+    worker; ``task`` carries the seed, the window overrides, whether
+    the parent collects observability and the telemetry config.
+    """
+    seed, warmup, measure, collect_obs, telemetry = task
     if collect_obs:
-        # Fork-started workers inherit the parent's trace buffer; start
-        # fresh so this worker's spans carry its own pid exactly once.
-        # The metrics registry is reset for the same reason: histograms
-        # accumulated here ship back on the payload, and inherited (or
-        # previous-task) state must not ride along twice.
+        # Fork-started workers inherit the parent's trace buffer, and a
+        # warm worker keeps the previous task's: start fresh so this
+        # task's spans and histograms ship back exactly once.
         obs.enable()
         obs.reset()
         obs.REGISTRY.reset()
-    mark = obs.trace_mark() if collect_obs else 0
-    with obs.span("replication", seed=seed):
-        machine = Machine(config.with_seed(seed), mapping, programs)
-        if telemetry is not None:
-            machine.attach_telemetry(telemetry)
-        summary = machine.run(warmup=warmup, measure=measure)
-    payload = (
-        {
-            "pid": os.getpid(),
-            "spans": obs.spans_since(mark),
-            "histograms": obs.REGISTRY.snapshot_histograms(),
-        }
-        if collect_obs
-        else None
-    )
-    return summary, payload
-
-
-def _pool_run_single(payload, task):
-    """Warm-pool task: rebuild per-task isolation, then run one seed.
-
-    ``payload`` is the broadcast ``(config, mapping, programs)`` shared
-    by every task on this worker; programs are stateful across a run, so
-    each task takes a deep copy — the isolation per-task pickling used
-    to provide, now paid per task-copy instead of per task-transfer.
-    """
-    config, mapping, programs = payload
-    seed, warmup, measure, collect_obs, telemetry = task
-    if not collect_obs and obs.is_enabled():
+    elif obs.is_enabled():
         # A warm worker may carry obs state enabled by an earlier task
         # (or inherited over fork); this run must not record into it.
         obs.disable()
         obs.reset()
-    return _run_single(
-        (
-            config,
-            copy.deepcopy(mapping),
-            copy.deepcopy(programs),
-            seed,
-            warmup,
-            measure,
-            collect_obs,
-            telemetry,
-        )
-    )
-
-
-def _run_batch_chunk(
-    arguments,
-) -> Tuple[List[MeasurementSummary], Optional[Dict]]:
-    """One lockstep batch of seeds through :func:`repro.sim.batch.run_batch`.
-
-    The batched counterpart of :func:`_run_single`: same argument-tuple
-    convention, same worker obs bootstrap, but one call runs every seed
-    in the chunk and returns the summaries in chunk order (each
-    bit-identical to its solo run, telemetry snapshot included).
-    """
-    (
-        config,
-        mapping,
-        programs,
-        chunk,
-        warmup,
-        measure,
-        collect_obs,
-        telemetry,
-    ) = arguments
-    if collect_obs:
-        # Same worker bootstrap as _run_single: fresh trace buffer and
-        # metrics registry so this task's spans/histograms ship exactly
-        # once.
-        obs.enable()
-        obs.reset()
-        obs.REGISTRY.reset()
     mark = obs.trace_mark() if collect_obs else 0
-    with obs.span("replication.batch", seeds=len(chunk)):
-        summaries = run_batch(
-            config,
-            mapping,
-            programs,
-            chunk,
-            warmup=warmup,
-            measure=measure,
-            telemetry=telemetry,
-        )
-    payload = (
+    summary = _run_seed(payload, seed, warmup, measure, telemetry)
+    shipped = (
         {
             "pid": os.getpid(),
             "spans": obs.spans_since(mark),
@@ -287,34 +212,7 @@ def _run_batch_chunk(
         if collect_obs
         else None
     )
-    return summaries, payload
-
-
-def _pool_run_batch(payload, task):
-    """Warm-pool task: one seed chunk through the lockstep batch engine.
-
-    Mirrors :func:`_pool_run_single`'s isolation contract: the broadcast
-    ``(config, mapping, programs)`` payload is shared across tasks on
-    this worker, so mapping/programs are deep-copied per task before the
-    batch machine takes its own per-replication copies.
-    """
-    config, mapping, programs = payload
-    chunk, warmup, measure, collect_obs, telemetry = task
-    if not collect_obs and obs.is_enabled():
-        obs.disable()
-        obs.reset()
-    return _run_batch_chunk(
-        (
-            config,
-            copy.deepcopy(mapping),
-            copy.deepcopy(programs),
-            chunk,
-            warmup,
-            measure,
-            collect_obs,
-            telemetry,
-        )
-    )
+    return summary, shipped
 
 
 def run_replications(
@@ -327,7 +225,7 @@ def run_replications(
     measure: Optional[int] = None,
     telemetry: Optional[TelemetryConfig] = None,
     pool: Optional[WorkerPool] = None,
-    batch: int = 1,
+    batch: Optional[int] = None,
 ) -> ReplicationResult:
     """Run one machine configuration under each seed and aggregate.
 
@@ -350,115 +248,52 @@ def run_replications(
     pool workers additionally ship their histogram state back for the
     jobs-invariant registry merge.
 
-    ``batch > 1`` packs the seeds into contiguous chunks of at most
-    ``batch`` and runs each chunk through
-    :func:`repro.sim.batch.run_batch` instead of one machine per seed:
-    one lockstep pass on the compiled core, or serial spec runs for a
-    chunk the core cannot serve.  Per-seed summaries (and telemetry
-    snapshots) are bit-identical to the ``batch=1`` path, so batching
-    composes freely with ``jobs``: each chunk is one pool task,
-    multiplying the batch speedup by the pool's scaling.
+    ``batch`` is the number of seeds the pool hands a worker at once
+    (its ``chunk_size``; ``None`` lets the pool choose).  It never
+    changes results: every seed is its own ``Machine.run`` in its own
+    ``replication`` span, serially or in the pool.
     """
     seeds = tuple(int(seed) for seed in seeds)
     if not seeds:
         raise ParameterError("need at least one replication seed")
-    batch = int(batch)
-    if batch < 1:
-        raise ParameterError(f"batch must be >= 1; got {batch}")
-    if batch > len(seeds):
-        raise ParameterError(
-            f"batch ({batch}) exceeds the replication count "
-            f"({len(seeds)}); pass batch <= len(seeds)"
-        )
+    if batch is not None:
+        batch = int(batch)
+        if batch < 1:
+            raise ParameterError(f"batch must be >= 1; got {batch}")
+        if batch > len(seeds):
+            raise ParameterError(
+                f"batch ({batch}) exceeds the replication count "
+                f"({len(seeds)}); pass batch <= len(seeds)"
+            )
+    payload = (config, mapping, programs)
     collect_obs = obs.is_enabled()
-    outcomes: Optional[List[Tuple[MeasurementSummary, Optional[Dict]]]] = None
+    summaries: Optional[List[MeasurementSummary]] = None
     with obs.span("replicate", seeds=len(seeds), jobs=jobs, batch=batch):
-        if batch > 1:
-            chunks = chunk_tasks(seeds, batch)
-            chunk_outcomes = None
-            if jobs > 1 or pool is not None:
-                try:
-                    worker_pool = pool if pool is not None else get_pool(jobs)
-                    worker_pool.broadcast(
-                        "sim.replicate", (config, mapping, programs)
-                    )
-                    tasks = [
-                        (chunk, warmup, measure, collect_obs, telemetry)
-                        for chunk in chunks
-                    ]
-                    chunk_outcomes = worker_pool.map(
-                        _pool_run_batch, tasks, key="sim.replicate"
-                    )
-                    if collect_obs:
-                        obs.ingest_worker_payloads(
-                            payload for _, payload in chunk_outcomes
-                        )
-                except FALLBACK_ERRORS as error:
-                    note_fallback("sim.replicate", error)
-                    chunk_outcomes = None  # run the chunks serially below
-            if chunk_outcomes is None:
-                chunk_outcomes = [
-                    _run_batch_chunk(
-                        (
-                            config,
-                            copy.deepcopy(mapping),
-                            copy.deepcopy(programs),
-                            chunk,
-                            warmup,
-                            measure,
-                            False,
-                            telemetry,
-                        )
-                    )
-                    for chunk in chunks
-                ]
-            # Chunks are contiguous slices of the seed tuple, so plain
-            # concatenation restores seed order.
-            outcomes = [
-                (summary, None)
-                for chunk_summaries, _ in chunk_outcomes
-                for summary in chunk_summaries
-            ]
-        elif jobs > 1 or pool is not None:
+        if jobs > 1 or pool is not None:
             try:
                 worker_pool = pool if pool is not None else get_pool(jobs)
-                worker_pool.broadcast(
-                    "sim.replicate", (config, mapping, programs)
-                )
+                worker_pool.broadcast("sim.replicate", payload)
                 tasks = [
                     (seed, warmup, measure, collect_obs, telemetry)
                     for seed in seeds
                 ]
-                outcomes = worker_pool.map(
-                    _pool_run_single, tasks, key="sim.replicate"
+                results = worker_pool.map(
+                    _pool_run_seed, tasks, key="sim.replicate",
+                    chunk_size=batch,
                 )
                 if collect_obs:
                     obs.ingest_worker_payloads(
-                        payload for _, payload in outcomes
+                        shipped for _, shipped in results
                     )
+                summaries = [summary for summary, _ in results]
             except FALLBACK_ERRORS as error:
                 note_fallback("sim.replicate", error)
-                outcomes = None  # no usable pool; run serially below
-        if outcomes is None:
-            # Serial path: deep-copy mapping/programs per run for the
-            # same isolation pool pickling provides (programs may carry
-            # mutable per-run state).
-            outcomes = [
-                _run_single(
-                    (
-                        config,
-                        copy.deepcopy(mapping),
-                        copy.deepcopy(programs),
-                        seed,
-                        warmup,
-                        measure,
-                        False,
-                        telemetry,
-                    )
-                )
+                summaries = None  # no usable pool; run serially below
+        if summaries is None:
+            summaries = [
+                _run_seed(payload, seed, warmup, measure, telemetry)
                 for seed in seeds
             ]
-    summaries = [summary for summary, _ in outcomes]
     return ReplicationResult(
         seeds=seeds,
         summaries=summaries,

@@ -1,12 +1,12 @@
-"""Property tests: batched-vs-serial bit-equality over the config space.
+"""Property tests: seeded-run vs spec bit-equality over the config space.
 
-The directed batch tests (tests/sim/test_batch.py) pin canned shapes;
-these sample machine shapes — {1,2,3}-D tori, identity and collocated
+The directed tests (tests/sim/test_batch.py) pin canned shapes; these
+sample machine shapes — {1,2,3}-D tori, identity and collocated
 mappings, both fabrics, ``network_speedup ∈ {1, 2}`` — and require
-``run_batch`` to reproduce each seed's solo ``Machine(engine=True)`` run
+``run_batch`` to reproduce each seed's ``Machine(engine=True)`` run
 (the Python spec) bit for bit.  On cut-through that pins the compiled
-core's lockstep lanes to the spec; on wormhole it pins the serial
-fallback, one spec run per seed.
+core to the spec; on wormhole it pins the Python event calendar's
+default path, one run per seed.
 """
 
 import copy

@@ -1,10 +1,10 @@
-"""Tests for batched replication (:func:`run_batch`).
+"""Tests for seeded runs (:func:`run_batch`) and the core driver.
 
-The serial ``Machine`` is the bit-exactness oracle: every per-seed
-summary (and telemetry snapshot) out of :func:`run_batch` must be
-identical to the solo run for the same seed, in seed order — whether
-the batch ran in lockstep on the compiled core or, when the core cannot
-serve it, as serial spec runs.
+The Python spec ``Machine(..., engine=True)`` is the bit-exactness
+oracle: every per-seed summary (and telemetry snapshot) out of
+:func:`run_batch` must be identical to the spec run for the same seed,
+in seed order — whether that seed's machine ran on the compiled core
+or, when the core cannot serve it, on the Python spec.
 """
 
 import copy
@@ -19,7 +19,7 @@ from repro.mapping.strategies import (
     random_mapping,
 )
 from repro.sim import batchcore
-from repro.sim.batch import BatchMachine, run_batch
+from repro.sim.batch import CoreDriver, run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
 from repro.sim.telemetry import TelemetryConfig
@@ -160,7 +160,7 @@ def calendar_runs():
 
 
 class TestEngineSelection:
-    """Core batches run in lockstep; the rest run as serial spec runs."""
+    """Each seed's machine runs on the core when it can, else the spec."""
 
     @pytest.mark.skipif(not CORE_LOADS, reason="compiled core unavailable")
     def test_eligible_batch_runs_on_the_core(self):
@@ -202,8 +202,9 @@ class TestEngineSelection:
 
     def test_batch_machine_rejects_configs_the_core_cannot_serve(self):
         config, mapping, programs = small_setup(switching="wormhole")
+        machine = Machine(config, mapping, programs)
         with pytest.raises(SimulationError, match="wormhole switching"):
-            BatchMachine(config, mapping, programs, (config.seed,))
+            CoreDriver(machine)
 
     def test_python_batch_engine_gate_rejected(self, monkeypatch):
         config, mapping, programs = small_setup()
@@ -211,25 +212,31 @@ class TestEngineSelection:
         with pytest.raises(SimulationError, match="engine=True"):
             run_batch(config, mapping, programs, (config.seed,))
         with pytest.raises(SimulationError, match="engine=True"):
-            BatchMachine(config, mapping, programs, (config.seed,))
+            CoreDriver(Machine(config, mapping, programs))
 
     def test_invalid_engine_mode_rejected(self, monkeypatch):
         config, mapping, programs = small_setup()
         monkeypatch.setenv("REPRO_BATCH_ENGINE", "cuda")
         with pytest.raises(SimulationError):
-            BatchMachine(config, mapping, programs, (config.seed,))
+            CoreDriver(Machine(config, mapping, programs))
 
 
 class TestValidation:
     def test_empty_seed_list_rejected(self):
         config, mapping, programs = small_setup()
         with pytest.raises(ParameterError):
-            BatchMachine(config, mapping, programs, ())
+            run_batch(config, mapping, programs, ())
 
     @pytest.mark.skipif(not CORE_LOADS, reason="compiled core unavailable")
     def test_run_is_single_use(self):
+        # The core keeps the machine's state after a run; a second
+        # driver over the spent machine (resumed at its final cycle)
+        # is refused, and so is a second run.
         config, mapping, programs = small_setup()
-        machine = BatchMachine(config, mapping, programs, (config.seed,))
+        machine = Machine(config, mapping, programs)
         machine.run()
+        assert machine.engine_path == "core"
+        with pytest.raises(SimulationError, match="resumed machine"):
+            CoreDriver(machine)
         with pytest.raises(SimulationError):
             machine.run()

@@ -1,13 +1,13 @@
 """Single ``Machine.run`` calls on the compiled core.
 
-A fresh, uninstrumented cut-through machine runs as a one-lane
-:class:`~repro.sim.batch.BatchMachine` on the C core.  The Python event
+A fresh, uninstrumented cut-through machine runs on the C core through
+:class:`~repro.sim.batch.CoreDriver`.  The Python event
 calendar (``engine=True``) stays the spec: these tests pin the default
 path to it on the two shapes the benchmark times (the Section 3.3
 validation torus and the replication torus), check that every run
 records which engine served it and why, that an unavailable core
-degrades loudly (single runs to the calendar, batches to serial spec
-runs), and that a machine finished on the core refuses to simulate
+degrades loudly (every run, single or seeded, to the calendar), and
+that a machine finished on the core refuses to simulate
 further.
 """
 
@@ -21,7 +21,7 @@ from repro.errors import SimulationError
 from repro.mapping import paper_mapping_suite
 from repro.mapping.strategies import identity_mapping, random_mapping
 from repro.sim import batchcore
-from repro.sim.batch import BatchMachine, run_batch
+from repro.sim.batch import CoreDriver, run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
 from repro.sim.reference import ReferenceTorusFabric
@@ -139,6 +139,25 @@ class TestProvenance:
         path, reason = self.run(Machine(config, mapping, programs))
         assert path == "loop" and "REPRO_SIM_ENGINE" in reason
 
+    def test_sim_engine_gate_sends_run_batch_to_the_loop(self, monkeypatch):
+        # Every seed of ``run_batch`` is an ordinary ``Machine.run``, so
+        # the step-loop gate applies to each one.
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "0")
+        config, mapping, programs = setup()
+        loops = obs.REGISTRY.counter("sim.engine.loop")
+        before = loops.value
+        summaries = run_batch(config, mapping, programs, (3, 4))
+        assert loops.value == before + 2
+        spec = [
+            Machine(
+                config.with_seed(seed), mapping, copy.deepcopy(programs),
+                engine=True,
+            ).run()
+            for seed in (3, 4)
+        ]
+        for got, want in zip(summaries, spec):
+            assert_same(got, want)
+
     def test_batch_engine_py_is_rejected(self, monkeypatch):
         # The rejection points at the Python-spec pin.
         monkeypatch.setenv("REPRO_BATCH_ENGINE", "py")
@@ -225,9 +244,17 @@ class TestFallback:
         config, mapping, programs = setup(contexts=2)
         seeds = (config.seed, config.seed + 1)
         before = calendar_runs()
-        with pytest.warns(batchcore.CoreFallbackWarning):
+        fallbacks = obs.REGISTRY.counter("sim.engine.core_fallback")
+        fallbacks_before = fallbacks.value
+        with pytest.warns(batchcore.CoreFallbackWarning) as caught:
             batched = run_batch(config, mapping, programs, seeds)
+        # Every seed is its own Machine.run: each asks the core once and
+        # counts one fallback, while the warning fires once per process.
         assert calendar_runs() == before + len(seeds)
+        assert fallbacks.value == fallbacks_before + len(seeds)
+        assert [w.category for w in caught].count(
+            batchcore.CoreFallbackWarning
+        ) == 1
         for seed, summary in zip(seeds, batched):
             spec = Machine(
                 config.with_seed(seed), mapping, copy.deepcopy(programs),
@@ -237,9 +264,10 @@ class TestFallback:
 
     def test_batch_machine_names_the_missing_core(self, no_core):
         config, mapping, programs = setup()
+        machine = Machine(config, mapping, programs)
         with pytest.warns(batchcore.CoreFallbackWarning):
             with pytest.raises(SimulationError, match="no compiler"):
-                BatchMachine(config, mapping, programs, (config.seed,))
+                CoreDriver(machine)
 
     def test_forced_core_raises_from_run_batch(self, no_core, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH_ENGINE", "c")

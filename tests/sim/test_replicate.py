@@ -253,6 +253,31 @@ class TestBatchedReplication:
         assert batched.telemetry_snapshots() == serial.telemetry_snapshots()
         assert batched.merged_telemetry() == serial.merged_telemetry()
 
+    def test_batch_records_the_same_replication_spans(self):
+        # Every seed runs in its own ``replication`` span whatever the
+        # number of seeds per task, so traces do not depend on batch.
+        config, mapping, programs = small_setup()
+        seeds = default_seeds(config.seed, 3)
+
+        def replication_seeds(batch):
+            mark = obs.trace_mark()
+            run_replications(config, mapping, programs, seeds, batch=batch)
+            return [
+                record["args"]["seed"]
+                for record in obs.spans_since(mark)
+                if record["name"] == "replication"
+            ]
+
+        enabled_before = obs.is_enabled()
+        obs.enable()
+        try:
+            chunked = replication_seeds(3)
+            single = replication_seeds(1)
+        finally:
+            if not enabled_before:
+                obs.disable()
+        assert chunked == single == list(seeds)
+
     def test_batch_validation(self):
         config, mapping, programs = small_setup()
         seeds = default_seeds(config.seed, 2)
