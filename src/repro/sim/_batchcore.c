@@ -10,6 +10,9 @@
  * core between processor boundaries via bc_advance()
  * (repro.sim.batch.CoreDriver).
  *
+ * Directory sharers are a per-block bitmap; a home's invalidations go
+ * out in ascending node id, the order the spec's _home_write fixes.
+ *
  * Compiled on demand by repro.sim.batchcore with the system C
  * compiler; no Python.h dependency (pure ABI, loaded via cffi).
  */
@@ -23,165 +26,6 @@ typedef long long i64;
 typedef unsigned long long u64;
 
 #define NEVER (1LL << 62)
-
-/* ------------------------------------------------------------------ */
-/* CPython set-order emulation.                                        */
-/*                                                                     */
-/* Directory sharer fan-out iterates a Python set in the serial        */
-/* engine, and message emission order feeds fabric arbitration, so     */
-/* bit-exactness requires reproducing CPython 3.11 setobject.c slot    */
-/* order exactly: same probe sequence (LINEAR_PROBES=9, perturb>>=5,   */
-/* i = i*5+1+perturb), same resize points (fill*5 >= mask*3 -> grow    */
-/* to used*4), same insert_clean rebuild.  Keys here are node ids      */
-/* (small non-negative ints, hash(x) == x), so a slot holds the key    */
-/* itself with -2 = empty, -1 = dummy.                                 */
-/* ------------------------------------------------------------------ */
-
-#define SET_EMPTY (-2LL)
-#define SET_DUMMY (-1LL)
-
-typedef struct {
-    i64 *t;
-    i64 mask;
-    i64 fill;  /* active + dummy */
-    i64 used;  /* active */
-} Set;
-
-static void set_init(Set *s) {
-    s->t = (i64 *)malloc(8 * sizeof(i64));
-    for (int i = 0; i < 8; i++) s->t[i] = SET_EMPTY;
-    s->mask = 7;
-    s->fill = 0;
-    s->used = 0;
-}
-
-static void set_free(Set *s) {
-    free(s->t);
-    s->t = NULL;
-}
-
-/* Rebind to a fresh empty set (Python: entry.sharers = set() / {...}). */
-static void set_reset(Set *s) {
-    if (s->mask == 7 && s->fill == 0) return;
-    free(s->t);
-    set_init(s);
-}
-
-static void set_insert_clean(i64 *table, i64 mask, i64 key) {
-    u64 perturb = (u64)key;
-    i64 i = key & mask;
-    for (;;) {
-        i64 *entry = &table[i];
-        i64 probes = (i + 9 <= mask) ? 10 : 1;
-        do {
-            if (*entry == SET_EMPTY) { *entry = key; return; }
-            entry++;
-        } while (--probes);
-        perturb >>= 5;
-        i = (i * 5 + 1 + (i64)perturb) & mask;
-    }
-}
-
-static void set_resize(Set *s, i64 minused) {
-    i64 newsize = 8;
-    while (newsize <= minused) newsize <<= 1;
-    i64 *old = s->t;
-    i64 oldmask = s->mask;
-    s->t = (i64 *)malloc((size_t)newsize * sizeof(i64));
-    for (i64 i = 0; i < newsize; i++) s->t[i] = SET_EMPTY;
-    s->mask = newsize - 1;
-    s->fill = s->used;
-    for (i64 i = 0; i <= oldmask; i++)
-        if (old[i] >= 0) set_insert_clean(s->t, s->mask, old[i]);
-    free(old);
-}
-
-static void set_add(Set *s, i64 key) {
-    i64 mask = s->mask;
-    u64 perturb = (u64)key;
-    i64 i = key & mask;
-    i64 *freeslot = NULL;
-    for (;;) {
-        i64 *entry = &s->t[i];
-        i64 probes = (i + 9 <= mask) ? 10 : 1;
-        do {
-            i64 h = *entry;
-            if (h == SET_EMPTY) {
-                if (freeslot != NULL) {
-                    *freeslot = key;
-                    s->used++;
-                    return;
-                }
-                *entry = key;
-                s->fill++;
-                s->used++;
-                if ((u64)s->fill * 5 < (u64)mask * 3) return;
-                set_resize(s, s->used > 50000 ? s->used * 2 : s->used * 4);
-                return;
-            }
-            if (h == key) return;
-            if (h == SET_DUMMY) freeslot = entry;  /* last dummy wins */
-            entry++;
-        } while (--probes);
-        perturb >>= 5;
-        i = (i * 5 + 1 + (i64)perturb) & mask;
-    }
-}
-
-static i64 *set_find(Set *s, i64 key) {
-    i64 mask = s->mask;
-    u64 perturb = (u64)key;
-    i64 i = key & mask;
-    for (;;) {
-        i64 *entry = &s->t[i];
-        i64 probes = (i + 9 <= mask) ? 10 : 1;
-        do {
-            if (*entry == key) return entry;
-            if (*entry == SET_EMPTY) return NULL;
-            entry++;
-        } while (--probes);
-        perturb >>= 5;
-        i = (i * 5 + 1 + (i64)perturb) & mask;
-    }
-}
-
-static int set_contains(Set *s, i64 key) {
-    return set_find(s, key) != NULL;
-}
-
-static void set_discard(Set *s, i64 key) {
-    i64 *entry = set_find(s, key);
-    if (entry != NULL) {
-        *entry = SET_DUMMY;
-        s->used--;
-    }
-}
-
-/* -- standalone test API (fuzzed against real interpreter sets) ----- */
-
-void *ts_new(void) {
-    Set *s = (Set *)malloc(sizeof(Set));
-    set_init(s);
-    return s;
-}
-
-void ts_free(void *p) {
-    set_free((Set *)p);
-    free(p);
-}
-
-void ts_add(void *p, i64 key) { set_add((Set *)p, key); }
-void ts_discard(void *p, i64 key) { set_discard((Set *)p, key); }
-int ts_contains(void *p, i64 key) { return set_contains((Set *)p, key); }
-i64 ts_len(void *p) { return ((Set *)p)->used; }
-
-i64 ts_items(void *p, i64 *out) {
-    Set *s = (Set *)p;
-    i64 n = 0;
-    for (i64 i = 0; i <= s->mask; i++)
-        if (s->t[i] >= 0) out[n++] = s->t[i];
-    return n;
-}
 
 /* ------------------------------------------------------------------ */
 /* Protocol constants (mirrors repro.sim.message / coherence enums).   */
@@ -260,7 +104,6 @@ typedef struct {
     int8_t state, busy, init, txn_active, txn_is_write, txn_wb;
     int owner, txn_requester, txn_pending;
     i64 txn_uid;
-    Set sharers;
     DefItem *ditems;
     int dhead, dcount, dcap;
 } Dir;
@@ -314,6 +157,8 @@ typedef struct Core {
     int *cache_seq;       /* same layout */
     int *outstanding;     /* same layout; -1 or Req index */
     Dir *dir;             /* [block] */
+    u64 *sharers;         /* [block*words + node/64] directory bitmap */
+    int words;            /* (N + 63) / 64 */
     CacheLog *clog;       /* [node] */
     /* pools */
     Msg *msgs;
@@ -581,13 +426,30 @@ static Dir *dir_entry(Core *core, int block) {
         d->busy = 0;
         d->txn_active = 0;
         d->owner = -1;
-        set_init(&d->sharers);
         d->ditems = NULL;
         d->dhead = 0;
         d->dcount = 0;
         d->dcap = 0;
     }
     return d;
+}
+
+#define SHARERS(core, block) (&(core)->sharers[(size_t)(block) * (core)->words])
+
+static void sharers_clear(Core *core, int block) {
+    memset(SHARERS(core, block), 0, (size_t)core->words * sizeof(u64));
+}
+
+static void sharers_add(Core *core, int block, int node) {
+    SHARERS(core, block)[node >> 6] |= 1ULL << (node & 63);
+}
+
+/* Word w of a sharer bitmap with nodes a and b masked off. */
+static u64 sharers_but(const u64 *sh, int w, int a, int b) {
+    u64 m = sh[w];
+    if (a >> 6 == w) m &= ~(1ULL << (a & 63));
+    if (b >> 6 == w) m &= ~(1ULL << (b & 63));
+    return m;
 }
 
 static void dir_defer(Dir *d, int requester, int is_write, i64 txn) {
@@ -956,7 +818,7 @@ static void do_grant_write(Core *core, int node, int block,
                            int requester, i64 txn) {
     Dir *d = dir_entry(core, block);
     d->state = DS_MODIFIED;
-    set_reset(&d->sharers);
+    sharers_clear(core, block);
     d->owner = requester;
     do_reply_with_data(core, node, block, requester, txn);
 }
@@ -969,9 +831,9 @@ static void do_home_read(Core *core, int node, int block,
             do_install(core, node, block, CS_SHARED);
             d = dir_entry(core, block);
             d->state = DS_SHARED;
-            set_reset(&d->sharers);
-            set_add(&d->sharers, node);
-            set_add(&d->sharers, requester);
+            sharers_clear(core, block);
+            sharers_add(core, block, node);
+            sharers_add(core, block, requester);
             d->owner = -1;
             do_reply_with_data(core, node, block, requester, txn);
             return;
@@ -988,12 +850,12 @@ static void do_home_read(Core *core, int node, int block,
     }
     if (d->state == DS_MODIFIED) {
         int owner = d->owner;
-        set_reset(&d->sharers);
-        set_add(&d->sharers, owner);
+        sharers_clear(core, block);
+        sharers_add(core, block, owner);
         d->owner = -1;
     }
     d->state = DS_SHARED;
-    set_add(&d->sharers, requester);
+    sharers_add(core, block, requester);
     do_reply_with_data(core, node, block, requester, txn);
 }
 
@@ -1017,34 +879,28 @@ static void do_home_write(Core *core, int node, int block,
         do_emit(core, node, K_FETCHINV, d->owner, block, txn);
         return;
     }
-    /* remote_sharers = {s for s in entry.sharers if s != requester} */
-    Set rs;
-    set_init(&rs);
-    for (i64 i = 0; i <= d->sharers.mask; i++) {
-        i64 s = d->sharers.t[i];
-        if (s >= 0 && s != requester) set_add(&rs, s);
-    }
-    if (set_contains(&rs, node)) {
+    /* Invalidate every sharer but the requester, in ascending node
+     * order; the home drops its own copy without a message. */
+    u64 *sh = SHARERS(core, block);
+    if (node != requester && (sh[node >> 6] >> (node & 63) & 1))
         cache_pop(core, node, block);
-        set_discard(&rs, node);
-    }
-    if (rs.used) {
+    int pending = 0;
+    for (int w = 0; w < core->words; w++)
+        pending += __builtin_popcountll(sharers_but(sh, w, requester, node));
+    if (pending) {
         d->busy = 1;
         d->txn_active = 1;
         d->txn_requester = requester;
         d->txn_is_write = 1;
         d->txn_uid = txn;
-        d->txn_pending = (int)rs.used;
+        d->txn_pending = pending;
         d->txn_wb = 0;
-        for (i64 i = 0; i <= rs.mask; i++) {
-            i64 s = rs.t[i];
-            if (s >= 0)
-                do_emit(core, node, K_INV, (int)s, block, txn);
-        }
-        set_free(&rs);
+        for (int w = 0; w < core->words; w++)
+            for (u64 m = sharers_but(sh, w, requester, node); m; m &= m - 1)
+                do_emit(core, node, K_INV, w * 64 + __builtin_ctzll(m),
+                        block, txn);
         return;
     }
-    set_free(&rs);
     do_grant_write(core, node, block, requester, txn);
 }
 
@@ -1094,13 +950,13 @@ static void do_absorb_writeback(Core *core, int node,
         d->busy = 0;
         if (is_write) {
             d->state = DS_MODIFIED;
-            set_reset(&d->sharers);
+            sharers_clear(core, block);
             d->owner = requester;
         } else {
             d->state = DS_SHARED;
-            set_reset(&d->sharers);
-            set_add(&d->sharers, requester);
-            if (source_retains) set_add(&d->sharers, source);
+            sharers_clear(core, block);
+            sharers_add(core, block, requester);
+            if (source_retains) sharers_add(core, block, source);
             d->owner = -1;
         }
         do_reply_with_data(core, node, block, requester, uid);
@@ -1116,7 +972,7 @@ static void do_absorb_writeback(Core *core, int node,
         return;
     }
     d->state = DS_UNOWNED;
-    set_reset(&d->sharers);
+    sharers_clear(core, block);
     d->owner = -1;
     do_run_deferred(core, node, block);
 }
@@ -1491,6 +1347,7 @@ Core *bc_create(int N, int dims, int radix, int capacity, int req_cost,
     core->mem_cost = mem_cost;
     core->channels = 2 * N + 2 * N * dims;
     core->links = 2 * N * dims;
+    core->words = (N + 63) / 64;
     core->msg_free = -1;
     core->transit_free = -1;
     core->req_free = -1;
@@ -1534,13 +1391,9 @@ void bc_destroy(Core *core) {
     free(f->pend2);
     free(f->link_flits);
     free(f->dheap);
-    for (int i = 0; i < core->nblocks; i++) {
-        if (core->dir[i].init) {
-            set_free(&core->dir[i].sharers);
-            free(core->dir[i].ditems);
-        }
-    }
+    for (int i = 0; i < core->nblocks; i++) free(core->dir[i].ditems);
     free(core->dir);
+    free(core->sharers);
     for (int i = 0; i < core->N; i++) free(core->clog[i].items);
     free(core->clog);
     for (int i = 0; i < core->N; i++) free(core->route_rows[i]);
@@ -1571,6 +1424,8 @@ int bc_add_block(Core *core, int home) {
         core->outstanding = (int *)realloc(
             core->outstanding, cap * N * sizeof(int));
         core->dir = (Dir *)realloc(core->dir, cap * sizeof(Dir));
+        core->sharers = (u64 *)realloc(
+            core->sharers, cap * (size_t)core->words * sizeof(u64));
     }
     int blk = core->nblocks++;
     core->block_home[blk] = home;
@@ -1578,6 +1433,7 @@ int bc_add_block(Core *core, int home) {
     memset(core->cache_seq + (size_t)blk * N, 0, N * sizeof(int));
     for (size_t i = 0; i < N; i++) core->outstanding[(size_t)blk * N + i] = -1;
     memset(core->dir + blk, 0, sizeof(Dir));
+    sharers_clear(core, blk);
     return blk;
 }
 

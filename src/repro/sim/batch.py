@@ -32,7 +32,9 @@ ingredients:
   events at the same occupancy boundaries in the same FIFO order as
   :class:`~repro.sim.coherence.CoherenceController`, and replicates
   :class:`~repro.sim.cut_through.CutThroughFabric`'s grant walk, pending
-  activation order and delivery scheduling.
+  activation order and delivery scheduling.  Directory sharers are a
+  per-block bitmap, so a home's invalidations go out in ascending node
+  id, the order the spec fixes.
 """
 
 from __future__ import annotations

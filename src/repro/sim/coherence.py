@@ -496,7 +496,9 @@ class CoherenceController:
                 transaction_uid=transaction, pending_acks=len(remote_sharers),
             )
             self._home_transactions[block] = home_txn
-            for sharer in remote_sharers:
+            # Ascending order is part of the core parity contract and
+            # must not depend on the interpreter's set iteration order.
+            for sharer in sorted(remote_sharers):
                 self._emit(MessageKind.INVALIDATE, sharer, block, transaction)
             return
         self._grant_write(block, entry, requester, transaction)

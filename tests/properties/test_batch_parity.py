@@ -2,7 +2,8 @@
 
 The directed tests (tests/sim/test_batch.py) pin canned shapes; these
 sample machine shapes — {1,2,3}-D tori, identity and collocated
-mappings, both fabrics, ``network_speedup ∈ {1, 2}`` — and require
+mappings, both fabrics, ``network_speedup ∈ {1, 2}``, unbounded and
+two- or three-line caches — and require
 ``run_batch`` to reproduce each seed's ``Machine(engine=True)`` run
 (the Python spec) bit for bit.  On cut-through that pins the compiled
 core to the spec; on wormhole it pins the Python event calendar's
@@ -42,6 +43,7 @@ def machine_cases(draw):
         "speedup": draw(st.sampled_from([1, 2])),
         "seed": draw(st.integers(0, 2**16)),
         "collocated": contexts == 2 and draw(st.booleans()),
+        "cache_lines": draw(st.sampled_from([0, 2, 3])),
     }
 
 
@@ -53,6 +55,7 @@ def build_setup(case):
         compute_cycles=case["compute"],
         switching=case["switching"],
         network_speedup=case["speedup"],
+        cache_lines=case["cache_lines"],
         seed=case["seed"],
     )
     nodes = config.node_count

@@ -56,8 +56,12 @@ def run_case(switching: str, contexts: int, mapping_name: str) -> dict:
     latencies: Counter = Counter()
     hops: Counter = Counter()
 
+    # The recorder hooks the Python fabric's delivery callback, and the
+    # fixture must come from the Python spec, so pin the Python engine.
     factory = ReferenceTorusFabric if switching == "wormhole" else None
-    machine = Machine(config, mapping, programs, fabric_factory=factory)
+    machine = Machine(
+        config, mapping, programs, fabric_factory=factory, engine=True
+    )
     original_deliver = machine._deliver
 
     def recording_deliver(transit):

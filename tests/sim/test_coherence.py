@@ -11,6 +11,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.sim.coherence import CacheState, CoherenceController, DirectoryState
 from repro.sim.config import SimulationConfig
+from repro.sim.message import MessageKind
 from repro.sim.stats import MachineStats
 
 
@@ -24,18 +25,23 @@ class Harness:
         self.stats = MachineStats(nodes=nodes)
         self.stats.measuring = True
         self.queue = []
+        self.sent = []
         self.controllers = [
             CoherenceController(
                 node=node,
                 config=self.config,
                 home_of=lambda block: block[1],  # block (i, t): home = t
-                send=self.queue.append,
+                send=self._send,
                 stats=self.stats,
             )
             for node in range(nodes)
         ]
         self.cycle = 0
         self.completions = []
+
+    def _send(self, message):
+        self.sent.append(message)
+        self.queue.append(message)
 
     def callback(self, tag):
         def record(cycle):
@@ -45,9 +51,7 @@ class Harness:
     def pump(self, max_cycles=10000):
         """Tick until all controllers idle and the queue drains."""
         for _ in range(max_cycles):
-            # Deliver queued messages (in order; 1-cycle transit).  The
-            # queue object's identity must be preserved — controllers
-            # hold a reference to its append method.
+            # Deliver queued messages (in order; 1-cycle transit).
             pending = list(self.queue)
             self.queue.clear()
             for message in pending:
@@ -166,6 +170,20 @@ class TestWrites:
         assert h.stats.messages_sent == 4
         assert h.controllers[2].cache_state(BLOCK) is CacheState.INVALID
         assert h.controllers[0].cache_state(BLOCK) is CacheState.MODIFIED
+
+    def test_invalidates_go_out_in_ascending_node_order(self):
+        # Fan-out order feeds fabric arbitration, so the compiled core
+        # must match it: ascending node id, whatever the set order.
+        h = Harness(nodes=16)
+        for reader in (9, 2, 12):
+            h.read(reader, BLOCK)
+        h.sent.clear()
+        h.write(1, BLOCK)
+        invalidated = [
+            m.destination for m in h.sent
+            if m.kind is MessageKind.INVALIDATE
+        ]
+        assert invalidated == [2, 9, 12]
 
 
 class TestSerialization:

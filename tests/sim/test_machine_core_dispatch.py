@@ -4,7 +4,8 @@ A fresh, uninstrumented cut-through machine runs on the C core through
 :class:`~repro.sim.batch.CoreDriver`.  The Python event
 calendar (``engine=True``) stays the spec: these tests pin the default
 path to it on the two shapes the benchmark times (the Section 3.3
-validation torus and the replication torus), check that every run
+validation torus and the replication torus) and under bounded caches
+(LRU eviction), check that every run
 records which engine served it and why, that an unavailable core
 degrades loudly (every run, single or seeded, to the calendar), and
 that a machine finished on the core refuses to simulate
@@ -29,6 +30,7 @@ from repro.sim.telemetry import TelemetryConfig
 from repro.sim.trace import Tracer
 from repro.topology.graphs import torus_neighbor_graph
 from repro.topology.torus import Torus
+from repro.workload.generators import uniform_random_graph_programs
 from repro.workload.synthetic import build_programs
 
 CORE_LOADS = batchcore.load() is not None
@@ -110,6 +112,36 @@ class TestParityWithSpec:
         )
         assert machine.engine_path == expected_default_path()
         assert default.messages_sent > 0
+        assert_same(default, spec)
+
+    @pytest.mark.parametrize(
+        "radix,contexts,cache_lines,workload",
+        [
+            (4, 1, 2, "neighbor"),
+            (8, 4, 3, "uniform"),
+            (16, 1, 2, "uniform"),  # 256 nodes: a 4-word sharer bitmap
+        ],
+    )
+    def test_bounded_cache(self, radix, contexts, cache_lines, workload):
+        # Small caches drive the LRU victim scan and eviction
+        # writebacks, which reset directory sharers.
+        config = SimulationConfig(
+            radix=radix, contexts=contexts, cache_lines=cache_lines, seed=3
+        )
+        graph = torus_neighbor_graph(radix, 2)
+        generate = (
+            build_programs if workload == "neighbor"
+            else uniform_random_graph_programs
+        )
+        programs = generate(
+            graph, contexts, config.compute_cycles, config.compute_jitter
+        )
+        machine, default, spec = default_and_spec(
+            config, identity_mapping(config.node_count), programs,
+            warmup=150, measure=450,
+        )
+        assert machine.engine_path == expected_default_path()
+        assert default.cache_evictions > 0
         assert_same(default, spec)
 
 
