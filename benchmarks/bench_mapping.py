@@ -5,7 +5,10 @@ Two entry points:
 * ``pytest benchmarks/bench_mapping.py --benchmark-only`` — timed runs of
   the evaluation kernels, single-chain annealing, and the batched
   multi-chain sweep, each asserting bit-identical parity with the
-  loop-based implementations in :mod:`repro.mapping.reference`.
+  loop-based implementations in :mod:`repro.mapping.reference`; plus
+  absolute anneal steps/s rows at 10^4 and 10^5 nodes on the delta
+  backend, one with compiled swap pricing and one with the numpy
+  gathers (``anneal_steps_per_s`` in ``BENCH_mapping.json``).
 * ``python benchmarks/bench_mapping.py [--quick] [--output FILE]`` —
   script mode for CI smoke: measures the annealing-sweep speedup
   directly, checks parity, and writes a small JSON artifact with the
@@ -24,8 +27,12 @@ import os
 import sys
 import time
 
+import pytest
+
+from repro import native
 from repro.mapping.anneal import anneal_mapping
 from repro.mapping.chains import anneal_chains
+from repro.mapping.engine import SwapEngine
 from repro.mapping.evaluate import average_distance, distance_histogram
 from repro.mapping.reference import (
     reference_anneal_mapping,
@@ -81,6 +88,42 @@ def test_anneal_multi_chain_batched(benchmark):
         assert result == anneal_mapping(
             graph, torus, start, steps=3000, seed=SEED + index
         )
+
+
+#: Absolute anneal throughput rows: ``(radix, steps)`` on the 2-D torus,
+#: 10^4 and ~10^5 nodes, both above the dense-table guard (delta backend).
+THROUGHPUT_SHAPES = ((100, 20000), (316, 20000))
+
+
+@pytest.mark.parametrize("pricing", ["c", "numpy"])
+@pytest.mark.parametrize("radix,steps", THROUGHPUT_SHAPES)
+def test_anneal_steps_per_second(radix, steps, pricing, bench_record, monkeypatch):
+    """Anneal steps/s at 10^4 and 10^5 nodes, one row per pricing path.
+
+    The row's ``wall_s`` is one whole ``anneal_mapping`` call (engine set-up,
+    the swap loop and the result build) from a random start, so
+    ``repro-bench compare`` gates the absolute time, not a ratio.  The numpy
+    row stands the compiled library down, as on a host without a compiler.
+    """
+    torus, graph, start = _setup(radix)
+    graph.incident_csr()  # built once per graph; keep it out of the timing
+    if pricing == "numpy":
+        monkeypatch.setattr(native, "load", lambda: None)
+    engine = SwapEngine(graph, torus)
+    assert engine.backend.kind == "delta"
+    if engine.pricing != pricing:
+        pytest.skip(f"{pricing} pricing unavailable: {engine.pricing_reason}")
+    began = time.perf_counter()
+    result = anneal_mapping(graph, torus, start, steps=steps, seed=SEED)
+    wall = time.perf_counter() - began
+    assert result.best_distance <= result.initial_distance
+    bench_record(
+        "anneal_steps_per_s",
+        f"delta {torus.node_count} nodes, {pricing} pricing",
+        round(wall, 4),
+        steps=steps,
+        steps_per_s=round(steps / wall, 1),
+    )
 
 
 def test_annealing_sweep_speedup():

@@ -55,13 +55,14 @@ def bench_record(request):
     """Record a named measurement row for this module's BENCH json."""
     tag = _module_tag(request)
 
-    def record(bench, config, wall_s, speedup_vs_reference=None):
+    def record(bench, config, wall_s, speedup_vs_reference=None, **extra):
         _ROWS[tag].append(
             {
                 "bench": bench,
                 "config": config,
                 "wall_s": wall_s,
                 "speedup_vs_reference": speedup_vs_reference,
+                **extra,
             }
         )
 

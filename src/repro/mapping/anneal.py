@@ -6,9 +6,12 @@ swaps with probability ``exp(-delta / T)`` under a geometric cooling
 schedule.  Deterministic for a given seed, like everything else in the
 mapping package.
 
-Swap deltas are priced by the vectorized :class:`repro.mapping.engine.SwapEngine`
-(distance-table gathers over precomputed per-thread adjacency arrays)
-instead of per-neighbor ``torus.distance`` calls; for integer edge
+Swap deltas are priced by :class:`repro.mapping.engine.SwapEngine` (a
+compiled kernel, or distance-table gathers over precomputed per-thread
+adjacency arrays) instead of per-neighbor ``torus.distance`` calls; the
+``mapping.anneal`` span and the ``anneal.pricing.*`` counters record
+which path ran.  The best assignment is kept as a journal of the swaps
+accepted since the last new best, undone at the end.  For integer edge
 weights — every built-in graph — accept/reject decisions, the best
 assignment, and all counters are bit-identical to the loop-based
 reference implementation (:mod:`repro.mapping.reference`), which the
@@ -32,8 +35,7 @@ import numpy as np
 from repro import obs
 from repro.errors import MappingError
 from repro.mapping.base import Mapping
-from repro.mapping.engine import SwapEngine, check_sizes
-from repro.mapping.evaluate import average_distance
+from repro.mapping.engine import SwapEngine, check_sizes, undo_swaps
 from repro.topology.graphs import CommunicationGraph
 from repro.topology.torus import Torus
 
@@ -98,16 +100,24 @@ def anneal_mapping(
     position = np.array(initial.assignment, dtype=np.intp)
     generator = random.Random(seed)
 
-    current_sum = engine.weighted_hop_sum(position)
+    start_sum = engine.weighted_hop_sum(position)
+    current_sum = start_sum
     best_sum = current_sum
-    best_position = position.copy()
+    # Accepted swaps since the last new best, undone at the end: cheaper
+    # than snapshotting the whole position array on every improvement.
+    journal = []
 
     temperature = initial_temperature
     accepted = 0
     attempted = 0
     threads = graph.threads
     with obs.span(
-        "mapping.anneal", steps=steps, threads=threads, seed=seed
+        "mapping.anneal",
+        steps=steps,
+        threads=threads,
+        seed=seed,
+        pricing=engine.pricing,
+        pricing_reason=engine.pricing_reason,
     ):
         for _ in range(steps):
             temperature *= cooling
@@ -130,7 +140,10 @@ def anneal_mapping(
                 )
                 if current_sum < best_sum:
                     best_sum = current_sum
-                    best_position = position.copy()
+                    journal.clear()
+                else:
+                    journal.append((thread_a, thread_b))
+        undo_swaps(position, journal)
 
     if obs.is_enabled():
         obs.REGISTRY.counter(
@@ -142,15 +155,19 @@ def anneal_mapping(
         obs.REGISTRY.counter(
             "anneal.accepted_moves", help="annealing swaps accepted"
         ).inc(accepted)
+        obs.REGISTRY.counter(
+            f"anneal.pricing.{engine.pricing}",
+            help="annealing runs by swap-pricing path",
+        ).inc()
 
-    final = Mapping(
-        assignment=tuple(int(p) for p in best_position),
-        processors=initial.processors,
-    )
+    _, _, weight = graph.edge_arrays()
     return AnnealResult(
-        mapping=final,
+        mapping=Mapping(
+            assignment=tuple(position.tolist()),
+            processors=initial.processors,
+        ),
         distance=float(best_sum) / engine.total_weight,
-        initial_distance=average_distance(graph, initial, torus),
+        initial_distance=start_sum / float(weight.sum()),
         best_distance=float(best_sum) / engine.total_weight,
         accepted_moves=accepted,
         attempted_moves=attempted,

@@ -41,6 +41,10 @@ class Mapping:
             )
         if not self.assignment:
             raise MappingError("assignment must map at least one thread")
+        # One pass each for the extremes; the per-thread walk below runs
+        # only to name the first offending thread.
+        if 0 <= min(self.assignment) and max(self.assignment) < self.processors:
+            return
         for thread, processor in enumerate(self.assignment):
             if not 0 <= processor < self.processors:
                 raise MappingError(

@@ -43,8 +43,7 @@ from repro.core.pool import FALLBACK_ERRORS, WorkerPool, get_pool, note_fallback
 from repro.errors import MappingError
 from repro.mapping.anneal import AnnealResult, _check_schedule
 from repro.mapping.base import Mapping
-from repro.mapping.engine import SwapEngine, check_sizes
-from repro.mapping.evaluate import average_distance
+from repro.mapping.engine import SwapEngine, check_sizes, undo_swaps
 from repro.topology.graphs import CommunicationGraph
 from repro.topology.torus import Torus
 
@@ -139,7 +138,9 @@ def _anneal_chains_batched(
     start_sum = engine.weighted_hop_sum(position[0])
     current_sum = [start_sum] * chains
     best_sum = [start_sum] * chains
-    best_position = [position[i].copy() for i in range(chains)]
+    # Per-chain journal of accepted swaps since that chain's last new
+    # best, undone at the end (no snapshot per improvement).
+    journals = [[] for _ in range(chains)]
     accepted = [0] * chains
     attempted = [0] * chains
 
@@ -205,15 +206,17 @@ def _anneal_chains_batched(
             )
             if current_sum[chain] < best_sum[chain]:
                 best_sum[chain] = current_sum[chain]
-                best_position[chain] = position[chain].copy()
+                journals[chain].clear()
+            else:
+                journals[chain].append((thread_a, thread_b))
 
-    initial_distance = average_distance(
-        engine.graph, initial, engine.torus
-    )
+    _, _, weight = engine.graph.edge_arrays()
+    initial_distance = start_sum / float(weight.sum())
     results = []
     for chain in range(chains):
+        undo_swaps(position[chain], journals[chain])
         mapping = Mapping(
-            assignment=tuple(int(p) for p in best_position[chain]),
+            assignment=tuple(position[chain].tolist()),
             processors=initial.processors,
         )
         distance = float(best_sum[chain]) / engine.total_weight

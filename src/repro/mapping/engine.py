@@ -15,22 +15,29 @@ needs once per (graph, torus) pair —
 * a zero-padded ``(threads, max_degree)`` adjacency matrix for pricing
   many chains' swaps in one batched gather.
 
-A swap's delta is then two vectorized gathers per endpoint: neighbor
-positions -> distance rows, dotted with edge weights.  Edges *between*
-the two swapped threads are invariant under the swap (both endpoints
-move) and are masked out, mirroring the loop implementation's
-``neighbor == other`` skip.  For integer edge weights every reduction
-here is exact, so deltas — and therefore accept/reject decisions — are
-bit-identical to the per-edge loops in :mod:`repro.mapping.reference`,
-whichever distance backend is active.
+A single swap's delta is priced by the compiled kernel
+(``_swapcore.c``, loaded with the package's other C code by
+:func:`repro.native.load`): a digit walk per edge, integer gains,
+summed in CSR order.  It serves every graph whose edge weights are all
+integral.  Otherwise — or when the library is unavailable — the delta
+is two vectorized gathers per endpoint: neighbor positions -> distance
+rows, dotted with edge weights.  ``SwapEngine.pricing`` names the path
+and ``pricing_reason`` says why.  Either way, edges *between* the two
+swapped threads are invariant under the swap (both endpoints move) and
+are skipped, mirroring the loop implementation's ``neighbor == other``
+skip.  For integer edge weights every reduction here is exact, so
+deltas — and therefore accept/reject decisions — are bit-identical to
+the per-edge loops in :mod:`repro.mapping.reference`, whichever path
+prices them and whichever distance backend is active.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.errors import MappingError
 from repro.mapping.base import Mapping
 from repro.topology.graphs import CommunicationGraph
@@ -58,8 +65,27 @@ def check_sizes(
         raise MappingError(f"steps must be >= 0, got {steps!r}")
 
 
+def undo_swaps(position: np.ndarray, journal: List[Tuple[int, int]]) -> None:
+    """Undo a journal of swaps on ``position``, newest first.
+
+    The optimizers journal the swaps they accept after their last new
+    best; undoing them restores the best position without a copy per
+    improvement.
+    """
+    for thread_a, thread_b in reversed(journal):
+        position[thread_a], position[thread_b] = (
+            position[thread_b],
+            position[thread_a],
+        )
+
+
 class SwapEngine:
-    """Precomputed locality arrays for pricing pairwise-swap moves."""
+    """Precomputed locality arrays for pricing pairwise-swap moves.
+
+    ``pricing`` is ``"c"`` when :meth:`swap_delta` runs the compiled
+    kernel and ``"numpy"`` when it uses the gathers; ``pricing_reason``
+    says why.  Both are decided once, here.
+    """
 
     def __init__(self, graph: CommunicationGraph, torus: Torus):
         self.graph = graph
@@ -69,6 +95,32 @@ class SwapEngine:
         self.total_weight = graph.total_weight
         self._indptr, self._neighbors, self._weights = graph.incident_csr()
         self._padded: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # Compiled pricing: the kernel, its leading arguments (the CSR
+        # pointers), and the full argument prefix bound to the last
+        # position array seen.
+        self._kernel = None
+        self._position = None
+        self._bound: Optional[tuple] = None
+        self.pricing = "numpy"
+        weights = self._weights
+        if not np.all(np.isfinite(weights) & (weights == np.trunc(weights))):
+            self.pricing_reason = "non-integral edge weights"
+            return
+        loaded = native.load()
+        if loaded is None:
+            self.pricing_reason = (
+                f"compiled kernels unavailable: {native.load_failure() or 'not built'}"
+            )
+            return
+        self.pricing = "c"
+        self.pricing_reason = "compiled kernel, integral edge weights"
+        self._ffi, lib = loaded
+        self._kernel = lib.sc_swap_delta
+        self._csr = (
+            self._ffi.cast("intptr_t *", self._indptr.ctypes.data),
+            self._ffi.cast("intptr_t *", self._neighbors.ctypes.data),
+            self._ffi.cast("double *", weights.ctypes.data),
+        )
 
     # ------------------------------------------------------------------
     # Adjacency access (CSR slices, zero-copy views).
@@ -105,11 +157,47 @@ class SwapEngine:
     def swap_delta(self, position: np.ndarray, thread_a: int, thread_b: int) -> float:
         """Change in weighted hop-sum if the two threads swap processors.
 
-        Two gathers per endpoint (its neighbors' positions against its
-        old and new processor); edges between the pair are masked out as
-        swap-invariant.  ``position`` is not modified.  For integer
-        weights the grouping ``w @ (after - before)`` is exact, so the
-        result matches the loop reference bit for bit.
+        ``position`` is not modified.  On the compiled path the pointer
+        to ``position`` is cast once and reused while the same array
+        comes back.  What the kernel cannot read in place — anything but
+        a contiguous ``intp`` array of one entry per thread, or a thread
+        id outside ``0..threads-1`` — is priced by the numpy gathers.
+        """
+        if self._kernel is not None:
+            threads = self.graph.threads
+            if position is not self._position:
+                self._position = position
+                self._bound = (
+                    self._csr
+                    + (
+                        self._ffi.cast("intptr_t *", position.ctypes.data),
+                        self.torus.radix,
+                        self.torus.dimensions,
+                    )
+                    if isinstance(position, np.ndarray)
+                    and position.dtype == np.intp
+                    and position.shape == (threads,)
+                    and position.flags.c_contiguous
+                    else None
+                )
+            if (
+                self._bound is not None
+                and 0 <= thread_a < threads
+                and 0 <= thread_b < threads
+            ):
+                return self._kernel(*self._bound, thread_a, thread_b)
+        return self._numpy_swap_delta(position, thread_a, thread_b)
+
+    def _numpy_swap_delta(
+        self, position: np.ndarray, thread_a: int, thread_b: int
+    ) -> float:
+        """The numpy pricing: two gathers per endpoint.
+
+        Each endpoint's neighbors' positions are priced against its old
+        and new processor; edges between the pair are masked out as
+        swap-invariant.  For integer weights the grouping
+        ``w @ (after - before)`` is exact, so the result matches the loop
+        reference bit for bit.
         """
         here_a = position[thread_a]
         here_b = position[thread_b]

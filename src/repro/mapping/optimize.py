@@ -14,8 +14,9 @@ mapping's average communication distance in either direction:
 The climber is deterministic given its seed: swap candidates come from a
 :class:`random.Random` stream and a swap is kept only if it strictly
 improves the objective, so results are reproducible across runs.  Swap
-deltas are priced by the vectorized :class:`repro.mapping.engine.SwapEngine`
-(distance-table gathers over precomputed per-thread adjacency arrays);
+deltas are priced by :class:`repro.mapping.engine.SwapEngine` (a
+compiled kernel, or distance-table gathers over precomputed per-thread
+adjacency arrays);
 for integer edge weights the accepted swaps and final mapping are
 bit-identical to the loop-based reference in
 :mod:`repro.mapping.reference`.
@@ -30,7 +31,6 @@ import numpy as np
 
 from repro.mapping.base import Mapping
 from repro.mapping.engine import SwapEngine, check_sizes
-from repro.mapping.evaluate import average_distance
 from repro.topology.graphs import CommunicationGraph
 from repro.topology.torus import Torus
 
@@ -67,7 +67,8 @@ def optimize_mapping(
     engine = SwapEngine(graph, torus)
     position = np.array(initial.assignment, dtype=np.intp)
     generator = random.Random(seed)
-    current_sum = engine.weighted_hop_sum(position)
+    start_sum = engine.weighted_hop_sum(position)
+    current_sum = start_sum
 
     accepted = 0
     threads = graph.threads
@@ -86,14 +87,14 @@ def optimize_mapping(
                 position[thread_a],
             )
 
-    final = Mapping(
-        assignment=tuple(int(p) for p in position),
-        processors=initial.processors,
-    )
+    _, _, weight = graph.edge_arrays()
     return OptimizationResult(
-        mapping=final,
+        mapping=Mapping(
+            assignment=tuple(position.tolist()),
+            processors=initial.processors,
+        ),
         distance=float(current_sum) / engine.total_weight,
-        initial_distance=average_distance(graph, initial, torus),
+        initial_distance=start_sum / float(weight.sum()),
         accepted_swaps=accepted,
         attempted_swaps=steps,
     )

@@ -1,9 +1,9 @@
 """On-demand compiled C core for the cut-through simulator.
 
-Compiles :mod:`repro.sim` ``_batchcore.c`` with the system C compiler
-the first time it is needed (cached under the user cache directory,
-keyed by source hash) and loads it through :mod:`cffi` in ABI mode —
-no setuptools build step, no Python.h dependency.  The core simulates
+``_batchcore.c`` is compiled on demand into the package's one shared
+object together with its other C kernels (:mod:`repro.native`: system
+C compiler, user cache keyed by the hash of every source, :mod:`cffi`
+in ABI mode).  The core simulates
 one machine: it is a port of :mod:`repro.sim.coherence` and
 :mod:`repro.sim.cut_through`, the Python spec it is parity-pinned to,
 driven by :class:`repro.sim.batch.CoreDriver`.
@@ -23,21 +23,15 @@ The ``REPRO_BATCH_ENGINE`` environment variable gates selection:
 
 from __future__ import annotations
 
-import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 import warnings
-from pathlib import Path
 from typing import Optional, Tuple
 
-from repro import obs
+from repro import native, obs
 from repro.errors import ProtocolError, SimulationError
 from repro.sim.message import _FLITS_BY_KIND, MessageKind
 
 __all__ = [
-    "CDEF",
     "CoreFallbackWarning",
     "acquire",
     "engine_mode",
@@ -48,33 +42,6 @@ __all__ = [
     "shape_supported",
 ]
 
-_SOURCE = Path(__file__).with_name("_batchcore.c")
-
-CDEF = """
-typedef struct Core Core;
-Core *bc_create(int N, int dims, int radix, int capacity, int req_cost,
-                int recv_cost, int send_cost, int mem_cost);
-void bc_destroy(Core *core);
-int bc_add_block(Core *core, int home);
-int bc_is_hit(Core *core, int node, int block, int is_write);
-void bc_record_access(Core *core, int node, int block);
-void bc_request(Core *core, int node, int block, int is_write,
-                long long cycle, long long handle);
-long long bc_advance(Core *core, long long stop);
-int bc_comp_count(Core *core);
-long long *bc_comp_ptr(Core *core);
-void bc_comp_clear(Core *core);
-void bc_start_measuring(Core *core);
-void bc_get_counters(Core *core, long long *out_i, double *out_d);
-void bc_get_link_flits(Core *core, long long *out);
-void bc_get_per_node_sent(Core *core, long long *out);
-long long bc_in_flight(Core *core);
-int bc_errcode(Core *core);
-const char *bc_errmsg(Core *core);
-"""
-
-_cached = None
-_failure: Optional[str] = None
 _warned = False
 
 
@@ -98,84 +65,17 @@ def engine_mode() -> str:
     return mode
 
 
-def _cache_dir() -> Path:
-    root = os.environ.get("XDG_CACHE_HOME")
-    base = Path(root) if root else Path.home() / ".cache"
-    return base / "repro" / "batchcore"
-
-
-def _compiler() -> Optional[str]:
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-def _build(source: Path) -> Path:
-    """Compile the core into the cache; return the shared-object path."""
-    text = source.read_bytes()
-    tag = hashlib.sha256(text).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = cache / f"_batchcore-{tag}.so"
-    if so_path.exists():
-        return so_path
-    compiler = _compiler()
-    if compiler is None:
-        raise SimulationError("no C compiler found for the batch core")
-    cache.mkdir(parents=True, exist_ok=True)
-    # Build into a temp name then rename: concurrent builders race
-    # benignly to an identical artifact.
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-    os.close(fd)
-    try:
-        proc = subprocess.run(
-            [compiler, "-O2", "-fPIC", "-shared", "-o", tmp, str(source)],
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0:
-            raise SimulationError(
-                f"batch core compilation failed: {proc.stderr[:500]}"
-            )
-        os.replace(tmp, so_path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return so_path
-
-
 def load():
     """Return ``(ffi, lib)`` for the compiled core, or ``None``.
 
-    The first failure (missing cffi, missing compiler, build error) is
-    remembered so later calls stay cheap; ``REPRO_BATCH_ENGINE=c``
-    callers can read the reason from :func:`load_failure`.
+    The core is part of the package's one compiled object
+    (:func:`repro.native.load`), so this also loads the swap pricer.
     """
-    global _cached, _failure
-    if _cached is not None:
-        return _cached
-    if _failure is not None:
-        return None
-    try:
-        from cffi import FFI
-    except ImportError:
-        _failure = "cffi is not installed"
-        return None
-    try:
-        so_path = _build(_SOURCE)
-        ffi = FFI()
-        ffi.cdef(CDEF)
-        lib = ffi.dlopen(str(so_path))
-    except Exception as exc:  # noqa: BLE001 - any failure means fallback
-        _failure = str(exc)
-        return None
-    _cached = (ffi, lib)
-    return _cached
+    return native.load()
 
 
 def load_failure() -> Optional[str]:
-    return _failure
+    return native.load_failure()
 
 
 def flits_compatible() -> bool:

@@ -15,6 +15,19 @@ class TestConstruction:
         with pytest.raises(MappingError):
             Mapping(assignment=(0, 4), processors=4)
 
+    @pytest.mark.parametrize(
+        "assignment,message",
+        [
+            ((0, 4), "thread 1 mapped to processor 4, outside 0..3"),
+            ((1, 2, -1, 9), "thread 2 mapped to processor -1, outside 0..3"),
+            ((3, 7, 0, -2), "thread 1 mapped to processor 7, outside 0..3"),
+        ],
+    )
+    def test_range_error_names_first_offending_thread(self, assignment, message):
+        with pytest.raises(MappingError) as info:
+            Mapping(assignment=assignment, processors=4)
+        assert str(info.value) == message
+
     def test_rejects_bad_processor_count(self):
         with pytest.raises(MappingError):
             Mapping(assignment=(0,), processors=0)
