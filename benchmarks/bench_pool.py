@@ -54,9 +54,15 @@ SCALING_FLOORS = {2: 1.3, 4: 2.0}
 
 
 def _workload(quick):
-    """The replication-scaling workload from ``bench_simulator``."""
+    """The replication-scaling workload from ``bench_simulator``.
+
+    The quick shape is a 256-node machine so each task (one seed's
+    machine run, about 50 ms on the compiled core) outweighs the pool's
+    per-task dispatch; on a 16-node machine the core finishes a seed in
+    a few milliseconds and the row would time dispatch alone.
+    """
     config = SimulationConfig(
-        radix=4 if quick else 8, contexts=2,
+        radix=16 if quick else 8, contexts=2,
         warmup_network_cycles=300,
         measure_network_cycles=1500 if quick else 6000,
     )

@@ -5,10 +5,10 @@ Every C source of the package — the simulator core
 (:mod:`repro.mapping` ``_swapcore.c``) — is compiled with the system C
 compiler into **one** shared object the first time any of them is
 needed.  The object is cached under the user cache directory, keyed by
-the hash of every source, and loaded through :mod:`cffi` in ABI mode:
-no setuptools build step, no Python.h dependency.  Because it is one
-object, loading the simulator core also loads the swap pricer, and
-vice versa.
+the hash of every source and of the build flags, and loaded through
+:mod:`cffi` in ABI mode: no setuptools build step, no Python.h
+dependency.  Because it is one object, loading the simulator core also
+loads the swap pricer, and vice versa.
 
 The first failure (missing cffi, missing compiler, build error) is
 remembered so later calls stay cheap; :func:`load_failure` says why.
@@ -29,7 +29,10 @@ from typing import Optional
 
 from repro.errors import ReproError
 
-__all__ = ["CDEF", "SOURCES", "library_path", "load", "load_failure"]
+__all__ = [
+    "CDEF", "CFLAGS", "LIBS", "SOURCES", "library_path", "load",
+    "load_failure",
+]
 
 _PACKAGE = Path(__file__).resolve().parent
 
@@ -39,25 +42,37 @@ SOURCES = (
     _PACKAGE / "mapping" / "_swapcore.c",
 )
 
+#: Compiler flags of every build.  ``-ffp-contract=off`` keeps the
+#: compiler from fusing ``lo + (hi - lo) * r`` into one FMA (the default
+#: on some targets, e.g. aarch64), which would round differently from
+#: Python's ``random.uniform`` and move every jittered run length.
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: Libraries linked after the sources (``nearbyint`` lives in libm).
+LIBS = ("-lm",)
+
 _BATCHCORE_CDEF = """
 typedef struct Core Core;
 Core *bc_create(int N, int dims, int radix, int capacity, int req_cost,
-                int recv_cost, int send_cost, int mem_cost);
+                int recv_cost, int send_cost, int mem_cost, int contexts,
+                int speedup, int hit_cycles, int switch_cycles);
 void bc_destroy(Core *core);
-int bc_add_block(Core *core, int home);
-int bc_is_hit(Core *core, int node, int block, int is_write);
-void bc_record_access(Core *core, int node, int block);
-void bc_request(Core *core, int node, int block, int is_write,
-                long long cycle, long long handle);
-long long bc_advance(Core *core, long long stop);
-int bc_comp_count(Core *core);
-long long *bc_comp_ptr(Core *core);
-void bc_comp_clear(Core *core);
+int bc_add_blocks(Core *core, int count, const int *homes);
+void bc_set_program(Core *core, int node, int ctx, int kind, int base,
+                    int thread, int reads, int threads,
+                    const int *neighbors, long long position,
+                    long long mean, double jitter);
+void bc_set_state(Core *core, const long long *procs,
+                  const uint32_t *rng);
+void bc_get_state(Core *core, long long *procs, uint32_t *rng);
+int bc_run(Core *core, long long cycles);
 void bc_start_measuring(Core *core);
 void bc_get_counters(Core *core, long long *out_i, double *out_d);
 void bc_get_link_flits(Core *core, long long *out);
 void bc_get_per_node_sent(Core *core, long long *out);
 long long bc_in_flight(Core *core);
+void bc_rng_draws(uint32_t *state, int kind, double a, double b,
+                  long long count, double *out);
 int bc_errcode(Core *core);
 const char *bc_errmsg(Core *core);
 """
@@ -90,13 +105,15 @@ def _compiler() -> Optional[str]:
 
 
 def library_path() -> Path:
-    """The cache slot of the shared object for the current sources.
+    """The cache slot of the shared object for the current build.
 
-    The name carries a hash of every source, so an edited source gets a
-    fresh slot; a library placed here (say, a sanitized build) is the
-    one :func:`load` opens.
+    The name carries a hash of every source and of :data:`CFLAGS` and
+    :data:`LIBS`, so an edited source or flag gets a fresh slot; a
+    library placed here (say, a sanitized build) is the one
+    :func:`load` opens.
     """
     digest = hashlib.sha256()
+    digest.update(" ".join(CFLAGS + LIBS).encode())
     for source in SOURCES:
         digest.update(source.name.encode())
         digest.update(source.read_bytes())
@@ -118,8 +135,9 @@ def _build() -> Path:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [compiler, "-O2", "-fPIC", "-shared", "-o", tmp]
-            + [str(source) for source in SOURCES],
+            [compiler, *CFLAGS, "-o", tmp]
+            + [str(source) for source in SOURCES]
+            + list(LIBS),
             capture_output=True,
             text=True,
         )

@@ -10,12 +10,12 @@ The wormhole fabric's hot path is the array kernel
 object-based implementation it replaced survives as
 :class:`repro.sim.reference.ReferenceTorusFabric`, the executable
 specification the parity suite pins the kernel to cycle for cycle.
-The coherence protocol and the cut-through fabric have one Python
-implementation each (:mod:`repro.sim.coherence`,
-:mod:`repro.sim.cut_through`), the spec the compiled core
-(:mod:`repro.sim.batchcore`) is pinned to; ``Machine.run`` takes the
-core (through :class:`repro.sim.batch.CoreDriver`) whenever it can
-serve the run.  Multi-seed replication with error bars lives in
+The processors, the coherence protocol and the cut-through fabric have
+one Python implementation each (:mod:`repro.sim.processor`,
+:mod:`repro.sim.coherence`, :mod:`repro.sim.cut_through`), the spec the
+compiled core (:mod:`repro.sim.batchcore`) is pinned to; ``Machine.run``
+runs the whole machine on the core (through
+:class:`repro.sim.batch.CoreDriver`) whenever it can serve the run.  Multi-seed replication with error bars lives in
 :mod:`repro.sim.replicate`: every seed is its own ``Machine.run``.
 """
 

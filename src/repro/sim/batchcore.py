@@ -2,18 +2,32 @@
 
 ``_batchcore.c`` is compiled on demand into the package's one shared
 object together with its other C kernels (:mod:`repro.native`: system
-C compiler, user cache keyed by the hash of every source, :mod:`cffi`
-in ABI mode).  The core simulates
-one machine: it is a port of :mod:`repro.sim.coherence` and
-:mod:`repro.sim.cut_through`, the Python spec it is parity-pinned to,
-driven by :class:`repro.sim.batch.CoreDriver`.
+C compiler, user cache keyed by the hash of every source and build
+flag, :mod:`cffi` in ABI mode).  The core simulates one whole machine:
+it is a port of :mod:`repro.sim.processor`, the thread programs
+:class:`~repro.workload.synthetic.NeighborExchangeProgram` and
+:class:`~repro.workload.generators.UniformRandomProgram`,
+:mod:`repro.sim.coherence`, :mod:`repro.sim.cut_through` and the event
+calendar of :mod:`repro.sim.engine` — the Python spec it is
+parity-pinned to — driven by :class:`repro.sim.batch.CoreDriver`.
+
+**Bit-exactness.**  A core run leaves the same
+:class:`~repro.sim.stats.MeasurementSummary`, processor counters,
+context states and per-node RNG states as ``Machine(...,
+engine=True)``.  Each node's ``random.Random`` stream continues in C as
+an MT19937 loaded from ``getstate()`` and written back with
+``setstate()``; ``random()`` is ``((a>>5)·2²⁶ + (b>>6)) / 2⁵³``,
+``randrange(n)`` is ``getrandbits(n.bit_length())`` with rejection, and
+a jittered run length is ``max(1, nearbyint(lo + (hi - lo)·random()))``
+(half-even, as Python's ``round``; built without FMA contraction).
 
 :func:`select_core` is the single place that decides whether a run can
 take the core; :meth:`repro.sim.machine.Machine.run` asks it for every
 run, whether it comes alone or from a replication campaign.  When the
-core cannot serve a run — wormhole switching, instrumentation, no
-compiler or cffi — the machine runs on the Python spec instead, and an
-unavailable core degrades loudly (see :func:`acquire`).
+core cannot serve a run — wormhole switching, instrumentation, a thread
+program it has no port of, no compiler or cffi — the machine runs on
+the Python spec instead, and an unavailable core degrades loudly (see
+:func:`acquire`).
 
 The ``REPRO_BATCH_ENGINE`` environment variable gates selection:
 ``auto`` (default) uses the core when available and applicable, and
@@ -23,13 +37,16 @@ The ``REPRO_BATCH_ENGINE`` environment variable gates selection:
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro import native, obs
 from repro.errors import ProtocolError, SimulationError
 from repro.sim.message import _FLITS_BY_KIND, MessageKind
+from repro.workload.generators import UniformRandomProgram
+from repro.workload.synthetic import NeighborExchangeProgram
 
 __all__ = [
     "CoreFallbackWarning",
@@ -37,6 +54,7 @@ __all__ = [
     "engine_mode",
     "flits_compatible",
     "load",
+    "program_reason",
     "raise_error",
     "select_core",
     "shape_supported",
@@ -94,6 +112,56 @@ def shape_supported(nodes: int, dimensions: int, radix: int) -> bool:
     return nodes < (1 << 20) and dimensions <= 8 and dimensions * radix <= 62
 
 
+#: Run lengths the core computes exactly: |mean| < 2**31 and a finite
+#: jitter below 2**20 keep every intermediate an exact double below
+#: 2**53 and every run length inside a long long.
+_RUN_LIMIT = 1 << 31
+_JITTER_LIMIT = float(1 << 20)
+
+
+def program_reason(programs: Iterable, threads: int) -> Optional[str]:
+    """Why the core cannot run these thread programs, or ``None``.
+
+    The core ports exactly :class:`NeighborExchangeProgram` and
+    :class:`UniformRandomProgram` (no subclasses), with integer run
+    lengths and every thread id inside the mapping's ``threads``, one
+    program object per context (the core keeps each context's position
+    apart, where contexts sharing one object would share it).
+    """
+    seen = set()
+    for program in programs:
+        if id(program) in seen:
+            return "a program object runs on more than one context"
+        seen.add(id(program))
+        kind = type(program)
+        name = kind.__name__
+        if kind is NeighborExchangeProgram:
+            ids = list(program.neighbors)
+            reads = len(ids)
+        elif kind is UniformRandomProgram:
+            # Targets come from randrange(threads - 1): threads >= 2.
+            ids = [program.threads - 2, program.threads - 1]
+            reads = program.reads_per_write
+        else:
+            return f"{name} programs have no compiled core"
+        ids.append(program.thread)
+        if set(map(type, ids)) != {int} or not (
+            0 <= min(ids) and max(ids) < threads
+        ):
+            return f"{name} thread ids outside the mapping's {threads}"
+        mean, jitter = program.compute_cycles_mean, program.compute_jitter
+        position = program._position
+        if not (
+            type(mean) is int and -_RUN_LIMIT < mean < _RUN_LIMIT
+            and type(jitter) in (int, float) and math.isfinite(jitter)
+            and abs(jitter) < _JITTER_LIMIT
+            and type(reads) is int and 1 <= reads < _RUN_LIMIT
+            and type(position) is int and 0 <= position <= reads
+        ):
+            return f"{name} parameters outside the compiled core's range"
+    return None
+
+
 def acquire() -> Tuple[Optional[tuple], str]:
     """Resolve the core for a run it could serve: ``(loaded, reason)``.
 
@@ -139,13 +207,17 @@ def select_core(
     tracer: bool = False,
     telemetry: bool = False,
     cycle: int = 0,
+    programs: Iterable,
+    threads: int,
 ) -> Tuple[Optional[tuple], str]:
     """Whether the compiled core serves a run: ``(loaded, reason)``.
 
     The core runs fresh (``cycle`` 0), uninstrumented cut-through
-    machines whose torus fits its limits; the flags say what the caller
-    attached.  For such a run this is :func:`acquire` (which may raise
-    under ``REPRO_BATCH_ENGINE=c``, or warn and count under ``auto``).
+    machines whose torus fits its limits and whose every thread program
+    it has a port of (:func:`program_reason`; ``threads`` is the
+    mapping's thread count); the flags say what the caller attached.
+    For such a run this is :func:`acquire` (which may raise under
+    ``REPRO_BATCH_ENGINE=c``, or warn and count under ``auto``).
     Otherwise ``loaded`` is ``None`` and ``reason`` says why in words.
     A malformed ``REPRO_BATCH_ENGINE`` is rejected on every path.
     """
@@ -160,6 +232,9 @@ def select_core(
         return None, "telemetry attached"
     if cycle:
         return None, f"resumed machine (cycle {cycle})"
+    reason = program_reason(programs, threads)
+    if reason is not None:
+        return None, reason
     if not shape_supported(config.node_count, config.dimensions, config.radix):
         return None, "torus shape exceeds the compiled core's limits"
     loaded, reason = acquire()

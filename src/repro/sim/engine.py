@@ -40,15 +40,18 @@ The step loop is retained verbatim (``REPRO_SIM_ENGINE=0`` or
 oracle, the same pattern as the fabric kernel vs the reference fabric.
 
 By default a fresh, uninstrumented cut-through ``Machine.run`` goes
-one step further and runs on the compiled C core
+one step further and runs wholly on the compiled C core
 (:mod:`repro.sim.batchcore`) through
-:class:`~repro.sim.batch.CoreDriver`, a subclass that keeps this
-engine's processor calendar (wake registration, boundary visit, flush)
-and hands the controllers and fabric to C.  This engine then serves
-the runs the core cannot — wormhole switching, a custom fabric, a
-tracer or telemetry attached, a machine resumed mid-run, no core — and
-is the executable spec the core is checked against:
-``Machine(engine=True)`` pins it.
+:class:`~repro.sim.batch.CoreDriver`: the core ports this engine's
+processor calendar (wake heap, woken list, boundary visit in ascending
+node order before the cycle's controllers and fabric, quiescence jump,
+flush) together with the processors, their thread programs and each
+node's RNG stream, so a window is one core call.  This engine then
+serves the runs the core cannot — wormhole switching, a custom fabric,
+a tracer or telemetry attached, a machine resumed mid-run, a thread
+program the core has no port of, no core — and is the executable spec
+the core is checked against, down to the processors' final state and
+``rng.getstate()``: ``Machine(engine=True)`` pins it.
 """
 
 from __future__ import annotations

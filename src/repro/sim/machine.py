@@ -14,8 +14,9 @@ fill, the protocol reaches steady state) followed by a measurement
 window, after which :meth:`Machine.run` returns the
 :class:`~repro.sim.stats.MeasurementSummary`.
 
-A fresh, uninstrumented cut-through machine runs on the compiled C
-core (:mod:`repro.sim.batchcore`, driven by
+A fresh, uninstrumented cut-through machine whose thread programs the
+compiled C core has a port of runs wholly on that core
+(:mod:`repro.sim.batchcore`, driven by
 :class:`~repro.sim.batch.CoreDriver`); everything else runs on the
 Python event calendar (:mod:`repro.sim.engine`) or the per-cycle step
 loop.  All three paths produce identical summaries; ``engine_path`` and
@@ -157,8 +158,9 @@ class Machine:
         Which engine :meth:`run` uses.  ``None`` (the default) picks the
         fastest path that can serve the run: the compiled C core when
         the machine is cut-through, fresh (cycle 0), has no
-        ``fabric_factory`` and no tracer or telemetry attached, and the
-        core loads; otherwise the event-calendar engine
+        ``fabric_factory`` and no tracer or telemetry attached, runs
+        only programs the core has a port of, and the core loads;
+        otherwise the event-calendar engine
         (:mod:`repro.sim.engine`); :func:`repro.sim.batchcore
         .select_core` decides.  ``True`` pins the Python event
         calendar, the executable spec the core is checked against;
@@ -384,8 +386,9 @@ class Machine:
         # One engine serves both windows; it leaves processor state
         # flushed to the last boundary after each window, so the
         # between-window counter sampling below reads exactly what the
-        # per-cycle loop would have left.  The core driver takes over
-        # the controllers and fabric for good.
+        # per-cycle loop would have left.  The core driver runs the
+        # whole machine, one core call per window, and keeps its
+        # controllers and fabric for good.
         engine = core = None
         if path == "core":
             from repro.sim.batch import CoreDriver  # batch imports this module
@@ -425,7 +428,7 @@ class Machine:
 
             self.stats.stop_measuring(self._cycle)
             if core is not None:
-                core.merge_stats()
+                core.finish()
         if engine is not None:
             # Detach the wake hooks so later step() calls (or a fresh
             # engine on the next run) don't feed this engine's calendar.
@@ -465,6 +468,12 @@ class Machine:
             tracer=self.tracer is not None,
             telemetry=self.telemetry is not None,
             cycle=self._cycle,
+            programs=(
+                context.program
+                for processor in self.processors
+                for context in processor.contexts
+            ),
+            threads=self.mapping.threads,
         )
 
     def summary(self) -> MeasurementSummary:

@@ -22,6 +22,16 @@ def test_cache_slot_is_keyed_by_every_source(tmp_path, monkeypatch):
     assert native.library_path() not in (slot, edited)
 
 
+def test_cache_slot_is_keyed_by_the_build_flags(monkeypatch):
+    slot = native.library_path()
+    assert "-ffp-contract=off" in native.CFLAGS
+    monkeypatch.setattr(native, "CFLAGS", native.CFLAGS + ("-DPROBE",))
+    flagged = native.library_path()
+    assert flagged != slot
+    monkeypatch.setattr(native, "LIBS", ())
+    assert native.library_path() not in (slot, flagged)
+
+
 def test_every_package_source_is_compiled():
     for source in native.SOURCES:
         assert source.is_file(), source
